@@ -223,6 +223,37 @@ impl RingLayout {
         self.header_at_stage[stage]
     }
 
+    /// Number of cycles from ring cycle `cycle` until the header of `slot`
+    /// next sits at node `n`'s interface: `0` when it is there at `cycle`
+    /// itself, otherwise in `1..stages()`.
+    ///
+    /// A driver that knows which node must next act on a circulating slot
+    /// uses this to schedule the visit instead of polling every arrival.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a node of this ring or `slot` is out of range.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ringsim_ring::RingConfig;
+    /// use ringsim_types::NodeId;
+    ///
+    /// let layout = RingConfig::standard_500mhz(8).layout().unwrap();
+    /// let node = NodeId::new(1);
+    /// let slot = layout.arrival_at(node, 3).unwrap();
+    /// assert_eq!(layout.cycles_until(slot, node, 0), 3);
+    /// assert_eq!(layout.cycles_until(slot, node, 3), 0);
+    /// assert_eq!(layout.cycles_until(slot, node, 4), 29);
+    /// ```
+    #[must_use]
+    pub fn cycles_until(&self, slot: SlotId, n: NodeId, cycle: u64) -> u64 {
+        let stages = self.stages as u64;
+        let header = (self.slots[slot.0].start_stage as u64 + cycle % stages) % stages;
+        (self.node_stage(n) as u64 + stages - header) % stages
+    }
+
     /// Precomputed arrival lists: entry `phase` holds every
     /// `(node, slot)` pair for which a slot header sits at the node's
     /// interface when `cycle % stages() == phase`, in ascending node
@@ -232,8 +263,11 @@ impl RingLayout {
     /// cycle-stepped simulator can replace its per-cycle all-nodes arrival
     /// scan with one indexed lookup into this table — iterating only the
     /// slots that actually arrive somewhere (≈ `slot_count()` entries per
-    /// cycle instead of `nodes()` probes). The table is derived state, not
-    /// part of the layout's identity; it is rebuilt on demand and never
+    /// cycle instead of `nodes()` probes). A driver whose nodes mostly
+    /// have nothing to do can go further and reduce each entry to a node
+    /// mask, visiting only the arrivals at nodes that can act (see
+    /// [`crate::SlotRing`]'s driving protocol). The table is derived state,
+    /// not part of the layout's identity; it is rebuilt on demand and never
     /// serialised.
     #[must_use]
     pub fn arrival_schedule(&self) -> Vec<Vec<(NodeId, SlotId)>> {
@@ -380,6 +414,34 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(sched[phase], direct, "nodes={nodes} cycle={cycle}");
+            }
+        }
+    }
+
+    #[test]
+    fn cycles_until_matches_pointwise_arrivals() {
+        let configs = [RingConfig::standard_500mhz, RingConfig::standard_250mhz];
+        for (cfg, nodes) in configs.iter().flat_map(|c| [8, 16, 64].map(|n| (c, n))) {
+            let l = cfg(nodes).layout().unwrap();
+            let stages = l.stages() as u64;
+            for n in 0..nodes {
+                let node = NodeId::new(n);
+                for slot in (0..l.slot_count()).map(SlotId) {
+                    // Start cycles past one revolution exercise the modular
+                    // reduction of `cycle`.
+                    for cycle in (0..stages).chain([5 * stages + 3, 7 * stages - 1]) {
+                        let d = l.cycles_until(slot, node, cycle);
+                        assert!(d < stages, "{nodes} nodes: {d} >= {stages}");
+                        assert_eq!(l.arrival_at(node, cycle + d), Some(slot));
+                        for k in 0..d {
+                            assert_ne!(
+                                l.arrival_at(node, cycle + k),
+                                Some(slot),
+                                "{nodes} nodes, node {n}, {slot:?}, cycle {cycle}: earlier at +{k}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

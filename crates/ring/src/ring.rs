@@ -105,6 +105,16 @@ impl<M> Default for SlotState<M> {
 ///    [`SlotRing::try_insert`] a pending message into an empty slot;
 /// 2. call [`SlotRing::advance`] to move every slot one stage downstream.
 ///
+/// A driver may visit only the nodes that can act in step 1: a node with
+/// nothing queued gains nothing from an empty slot, and a message that
+/// does not concern a node passes it unchanged. Because every header
+/// moves one stage per cycle, a message inserted at `src` reaches node `n`
+/// exactly [`RingLayout::stage_distance`]`(src, n)` cycles later, and
+/// [`RingLayout::cycles_until`] gives the next arrival of any slot, so the
+/// visits can be scheduled when a message enters the ring instead of
+/// found by polling every arrival. [`SlotRing::occupied`] lists the
+/// circulating messages for a driver that must reschedule them.
+///
 /// The ring records occupancy statistics on every `advance`, which yield the
 /// paper's ring-utilisation metric.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -209,6 +219,11 @@ impl<M> SlotRing<M> {
     #[must_use]
     pub fn peek(&self, id: SlotId) -> Option<&M> {
         self.slots[id.index()].msg.as_ref()
+    }
+
+    /// The occupied slots and their messages, in slot order.
+    pub fn occupied(&self) -> impl Iterator<Item = (SlotId, &M)> + '_ {
+        self.slots.iter().enumerate().filter_map(|(i, s)| s.msg.as_ref().map(|m| (SlotId(i), m)))
     }
 
     /// Mutable access to the message in slot `id`, if any — used by snooping
@@ -450,6 +465,23 @@ mod tests {
         let util = st.block_utilization(r.block_slots());
         // One of three block slots occupied during the non-warmup cycles.
         assert!(util > 0.0 && util <= 1.0 / 3.0 + 1e-9, "util = {util}");
+    }
+
+    #[test]
+    fn occupied_lists_circulating_messages() {
+        let mut r = ring();
+        assert_eq!(r.occupied().count(), 0);
+        let src = NodeId::new(0);
+        let id = wait_for(&mut r, src, |r, id| r.peek(id).is_none());
+        r.try_insert(id, src, 5).unwrap();
+        assert_eq!(r.occupied().collect::<Vec<_>>(), vec![(id, &5)]);
+        let dist = r.layout().stage_distance(src, NodeId::new(2)) as u64;
+        let start = r.cycle();
+        while r.cycle() < start + dist {
+            r.advance();
+        }
+        assert_eq!(r.remove(id, NodeId::new(2)), 5);
+        assert_eq!(r.occupied().count(), 0);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The runtime coherence sanitizer never fires on healthy simulations.
 //!
 //! The sanitizer re-checks the single-writer/multiple-reader invariant (and
-//! the bus/hier-net conservation laws) at every transaction-retire boundary.
+//! the bus/hier-net conservation laws) at every transaction-retire boundary,
+//! and after every ring cycle that the slot arrivals the ring simulator's
+//! sparse pass skipped were no-ops.
 //! These tests force it on — release builds included — and drive all three
 //! interconnects across workload seeds; any violation panics inside the run.
 //!
@@ -41,6 +43,14 @@ fn sanitizer_is_quiet_on_all_interconnects() {
         let cfg = BusSystemConfig::bus_100mhz(procs);
         let report = BusSystem::new(cfg, workload(procs, 2_000, 7)).unwrap().run();
         assert_eq!(report.events.data_refs(), (procs as u64) * 2_000);
+    }
+    // 64 nodes: the sparse slot pass's node masks are full, so node 63
+    // exercises their top bit. The sanitizer re-checks every arrival the
+    // pass skipped.
+    for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
+        let cfg = SystemConfig::ring_500mhz(protocol, 64);
+        let report = RingSystem::new(cfg, workload(64, 300, 7)).unwrap().run();
+        assert_eq!(report.events.data_refs(), 64 * 300);
     }
     // The hierarchy simulator has no caches; its sanitizer check is the
     // transaction conservation law.
