@@ -12,15 +12,16 @@
 
 use ringsim_bus::{Bus, BusConfig, PhaseKind};
 use ringsim_cache::{AccessClass, Cache, CacheConfig, LineState};
-use ringsim_obs::{LatencyHistogram, Obs, ObsConfig, Recorder};
+use ringsim_obs::{Obs, ObsConfig, Recorder};
 use ringsim_proto::guarded;
 use ringsim_proto::transitions::{BusOp, DragonAction, MesiAction};
-use ringsim_trace::{AddressSpace, NodeStream, Workload, BLOCK_BYTES};
-use ringsim_types::stats::RunningMean;
-use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, NodeId, Region, Time};
+use ringsim_trace::{AddressSpace, Workload};
+use ringsim_types::{AccessKind, BlockAddr, ConfigError, NodeId, Region, Time};
 
 use crate::collections::FnvMap;
-use crate::report::{ClassLatencies, NodeMeasure, SimReport};
+use crate::proc::{Issue, MissClass, Processors, TxnKind, PROC_QUANTUM};
+use crate::report::SimReport;
+use crate::ring_system::dirty_on_path;
 use crate::sanitize;
 
 /// Windowed-accumulator slot for bus arbitration wait (see [`Obs::acc_add`]).
@@ -153,47 +154,21 @@ impl BusSystemConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnKind {
-    Read,
-    Write,
-    Upgrade,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Txn {
     block: BlockAddr,
     kind: TxnKind,
     region: Region,
     start: Time,
-    /// Set at the serialisation point: how the miss was served.
-    served: Served,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Served {
-    Pending,
-    Local,
-    CleanRemote,
-    Dirty,
+    /// Set at the serialisation point: who served the miss (`None` until
+    /// then, and for an upgrade).
+    served: Option<MissClass>,
 }
 
 #[derive(Debug)]
 struct BusNode {
-    stream: NodeStream,
     cache: Cache,
-    ready_at: Time,
-    instr_carry: f64,
-    refs_issued: u64,
-    warmup_refs: u64,
-    total_refs: u64,
-    measuring: bool,
-    measure_start: Time,
-    busy: Time,
-    finish_at: Option<Time>,
     txn: Option<Txn>,
-    misses: u64,
-    miss_lat: LatencyHistogram,
     /// MESI/Dragon: blocks this node holds clean-exclusive (E) — the cache
     /// line is `We`, but the data was never written and memory is still up
     /// to date. Always empty under MSI.
@@ -211,11 +186,6 @@ enum Event {
     /// The blocked processor's transaction finishes.
     Complete { node: usize },
 }
-
-/// Quantum of lookahead (in time) a processor may run ahead of the global
-/// event clock while it keeps hitting in its cache. Bounds the window in
-/// which a fast-forwarded node could miss a remote invalidation.
-const PROC_QUANTUM: Time = Time::from_ns(200);
 
 /// Snooping-visible state of one block, merged so every bus transaction
 /// resolves ownership, data timing and presence with one map lookup.
@@ -254,21 +224,15 @@ struct BlockState {
 pub struct BusSystem {
     cfg: BusSystemConfig,
     bus: Bus,
+    procs: Processors,
     nodes: Vec<BusNode>,
     space: AddressSpace,
     /// Per-block coherence directory, one entry per block the bus has
     /// touched (every consumer of ownership, data timing and presence pays
     /// for a single lookup per transaction).
     blocks: FnvMap<u64, BlockState>,
-    /// Nodes past warm-up (measured-window check without a scan).
-    measuring_nodes: usize,
     queue: crate::EventQueue<Event>,
     now: Time,
-    miss_lat: RunningMean,
-    miss_hist: LatencyHistogram,
-    upg_lat: RunningMean,
-    class_lat: ClassLatencies,
-    events: CoherenceEvents,
     snapshot: Option<(ringsim_bus::BusStats, Time)>,
     // Telemetry (no-op unless `attach_obs` was called).
     obs: Obs,
@@ -285,52 +249,23 @@ impl BusSystem {
     /// workload's processor count does not match the bus's node count.
     pub fn new(cfg: BusSystemConfig, workload: Workload) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        if workload.procs() != cfg.nodes() {
-            return Err(ConfigError::new(
-                "workload.procs",
-                format!("workload has {} processors, bus has {}", workload.procs(), cfg.nodes()),
-            ));
-        }
-        let spec = workload.spec().clone();
         let space = workload.space();
+        let procs = Processors::new(workload, cfg.nodes(), cfg.proc_cycle)?;
         let bus = Bus::new(cfg.bus)?;
-        let nodes = workload
-            .into_streams()
-            .into_iter()
-            .map(|stream| {
-                Ok(BusNode {
-                    stream,
-                    cache: Cache::new(cfg.cache)?,
-                    ready_at: Time::ZERO,
-                    instr_carry: 0.0,
-                    refs_issued: 0,
-                    warmup_refs: spec.warmup_refs_per_proc,
-                    total_refs: spec.warmup_refs_per_proc + spec.data_refs_per_proc,
-                    measuring: false,
-                    measure_start: Time::ZERO,
-                    busy: Time::ZERO,
-                    finish_at: None,
-                    txn: None,
-                    misses: 0,
-                    miss_lat: LatencyHistogram::new(),
-                    excl: FnvMap::default(),
-                })
+        let nodes = (0..cfg.nodes())
+            .map(|_| {
+                Ok(BusNode { cache: Cache::new(cfg.cache)?, txn: None, excl: FnvMap::default() })
             })
             .collect::<Result<Vec<_>, ConfigError>>()?;
         Ok(Self {
             cfg,
             bus,
+            procs,
             nodes,
             space,
             blocks: FnvMap::default(),
-            measuring_nodes: 0,
             queue: crate::EventQueue::new(),
             now: Time::ZERO,
-            miss_lat: RunningMean::default(),
-            miss_hist: LatencyHistogram::new(),
-            upg_lat: RunningMean::default(),
-            class_lat: ClassLatencies::default(),
-            events: CoherenceEvents::default(),
             snapshot: None,
             obs: Obs::disabled(),
             obs_bus_tl: usize::MAX,
@@ -376,7 +311,7 @@ impl BusSystem {
                 Event::UpgradeDone { node } => self.upgrade_done(node),
                 Event::Complete { node } => self.complete(node),
             }
-            if self.snapshot.is_none() && self.measuring_nodes == self.nodes.len() {
+            if self.snapshot.is_none() && self.procs.all_measuring() {
                 self.snapshot = Some((self.bus.stats(), self.now));
             }
             if self.obs.sample_due(self.now) {
@@ -413,47 +348,13 @@ impl BusSystem {
     }
 
     fn step_processor(&mut self, i: usize) {
-        let horizon = self.now + PROC_QUANTUM;
         loop {
-            let node = &mut self.nodes[i];
-            if node.finish_at.is_some() || node.txn.is_some() {
-                return;
-            }
-            if node.ready_at > horizon {
-                let at = node.ready_at;
-                self.schedule(at, Event::ProcReady { node: i });
-                return;
-            }
-            if node.refs_issued == node.total_refs {
-                node.finish_at = Some(node.ready_at);
-                return;
-            }
-            let icycles = node.instr_carry + node.stream.instr_per_data();
-            let whole = icycles.floor();
-            node.instr_carry = icycles - whole;
-            let cost = self.cfg.proc_cycle * (1 + whole as u64);
-            if node.measuring {
-                node.busy += cost;
-            }
-            node.ready_at += cost;
-            let r = node.stream.next_ref();
-            node.refs_issued += 1;
-            if !node.measuring && node.refs_issued > node.warmup_refs {
-                node.measuring = true;
-                self.measuring_nodes += 1;
-                node.measure_start = node.ready_at;
-                node.busy = cost;
-            }
-            let block = r.addr.block(BLOCK_BYTES);
-            let class = node.cache.classify(block, r.kind);
-            if node.measuring {
-                match (r.region, r.kind) {
-                    (Region::Private, AccessKind::Read) => self.events.private_reads += 1,
-                    (Region::Private, AccessKind::Write) => self.events.private_writes += 1,
-                    (Region::Shared, AccessKind::Read) => self.events.shared_reads += 1,
-                    (Region::Shared, AccessKind::Write) => self.events.shared_writes += 1,
-                }
-            }
+            let (r, block) = match self.procs.next_ref(i, self.now, self.now + PROC_QUANTUM) {
+                Issue::Ref(r, block) => (r, block),
+                Issue::Ahead(at) => return self.schedule(at, Event::ProcReady { node: i }),
+                Issue::Done => return,
+            };
+            let class = self.nodes[i].cache.classify(block, r.kind);
             match class {
                 AccessClass::Hit => {
                     // A write hit on a clean-exclusive line silently
@@ -482,20 +383,10 @@ impl BusSystem {
                     }
                 }
                 AccessClass::Upgrade | AccessClass::Miss => {
-                    let kind = match (class, r.kind) {
-                        (AccessClass::Upgrade, _) => TxnKind::Upgrade,
-                        (_, AccessKind::Read) => TxnKind::Read,
-                        (_, AccessKind::Write) => TxnKind::Write,
-                    };
-                    let start = self.nodes[i].ready_at;
+                    let kind = TxnKind::of(class, r.kind);
+                    let start = self.procs.begin(&mut self.obs, i, kind, block);
                     self.nodes[i].txn =
-                        Some(Txn { block, kind, region: r.region, start, served: Served::Pending });
-                    let op = match kind {
-                        TxnKind::Read => "read",
-                        TxnKind::Write => "write",
-                        TxnKind::Upgrade => "upgrade",
-                    };
-                    self.obs.txn_begin(i, op, block.raw(), start);
+                        Some(Txn { block, kind, region: r.region, start, served: None });
                     // Arbitrate for the address phase.
                     let cycles = if kind == TxnKind::Upgrade {
                         self.cfg.bus.inval_cycles
@@ -600,13 +491,13 @@ impl BusSystem {
             a => unreachable!("update dispatch yielded {a:?}"),
         }
         self.blocks.entry(block.raw()).or_default().owner = Some(me);
-        if self.nodes[i].measuring {
+        if self.procs.measuring(i) {
             let local = self.home_of(block) == me;
             match (!others.is_empty(), local) {
-                (false, true) => self.events.upgrade_nosharers_local += 1,
-                (false, false) => self.events.upgrade_nosharers_remote += 1,
-                (true, true) => self.events.upgrade_sharers_local += 1,
-                (true, false) => self.events.upgrade_sharers_remote += 1,
+                (false, true) => self.procs.events.upgrade_nosharers_local += 1,
+                (false, false) => self.procs.events.upgrade_nosharers_remote += 1,
+                (true, true) => self.procs.events.upgrade_sharers_local += 1,
+                (true, false) => self.procs.events.upgrade_sharers_remote += 1,
             }
         }
         self.schedule(self.now, Event::Complete { node: i });
@@ -630,24 +521,24 @@ impl BusSystem {
             if t.region == Region::Shared {
                 self.blocks.entry(block.raw()).or_default().owner = Some(NodeId::new(i));
             }
-            if self.nodes[i].measuring && t.region == Region::Shared {
+            if self.procs.measuring(i) && t.region == Region::Shared {
                 let local = self.home_of(block) == NodeId::new(i);
                 match (invalidated > 0, local) {
-                    (false, true) => self.events.upgrade_nosharers_local += 1,
-                    (false, false) => self.events.upgrade_nosharers_remote += 1,
-                    (true, true) => self.events.upgrade_sharers_local += 1,
-                    (true, false) => self.events.upgrade_sharers_remote += 1,
+                    (false, true) => self.procs.events.upgrade_nosharers_local += 1,
+                    (false, false) => self.procs.events.upgrade_nosharers_remote += 1,
+                    (true, true) => self.procs.events.upgrade_sharers_local += 1,
+                    (true, false) => self.procs.events.upgrade_sharers_remote += 1,
                 }
-                self.events.invalidated_copies += invalidated;
-            } else if self.nodes[i].measuring && t.region == Region::Private {
-                self.events.upgrade_nosharers_local += 1;
+                self.procs.events.invalidated_copies += invalidated;
+            } else if self.procs.measuring(i) && t.region == Region::Private {
+                self.procs.events.upgrade_nosharers_local += 1;
             }
             self.schedule(self.now, Event::Complete { node: i });
         } else {
             // The line was invalidated while we waited for the bus: the
             // address phase we just completed doubles as the request phase
             // of a write miss.
-            self.nodes[i].txn = Some(Txn { kind: TxnKind::Write, served: Served::Pending, ..t });
+            self.nodes[i].txn = Some(Txn { kind: TxnKind::Write, served: None, ..t });
             self.request_done(i);
         }
     }
@@ -657,7 +548,7 @@ impl BusSystem {
         let me = NodeId::new(i);
         let t = self.nodes[i].txn.expect("miss txn");
         let block = t.block;
-        let measuring = self.nodes[i].measuring;
+        let measuring = self.procs.measuring(i);
 
         if t.region == Region::Private {
             // Private blocks are only ever touched by their owning node:
@@ -669,12 +560,12 @@ impl BusSystem {
             // out of the directory map entirely (nothing ever reads their
             // entries, and a smaller map makes the shared lookups cheaper).
             if measuring {
-                self.events.private_misses += 1;
+                self.procs.events.private_misses += 1;
             }
             let is_write = t.kind != TxnKind::Read;
             let completion = self.now + self.cfg.mem_latency;
             if let Some(txn) = self.nodes[i].txn.as_mut() {
-                txn.served = Served::Local;
+                txn.served = Some(MissClass::Local);
             }
             let state = if is_write {
                 LineState::We
@@ -705,23 +596,23 @@ impl BusSystem {
             match (t.kind, owner) {
                 (TxnKind::Read, Some(d)) => {
                     if dirty_on_path(me, home, d, self.cfg.nodes()) {
-                        self.events.read_dirty_2 += 1;
+                        self.procs.events.read_dirty_2 += 1;
                     } else {
-                        self.events.read_dirty_1 += 1;
+                        self.procs.events.read_dirty_1 += 1;
                     }
                 }
                 (TxnKind::Read, None) => {
                     if local {
-                        self.events.read_clean_local += 1;
+                        self.procs.events.read_clean_local += 1;
                     } else {
-                        self.events.read_clean_remote += 1;
+                        self.procs.events.read_clean_remote += 1;
                     }
                 }
                 (_, Some(d)) => {
                     if dirty_on_path(me, home, d, self.cfg.nodes()) {
-                        self.events.write_dirty_2 += 1;
+                        self.procs.events.write_dirty_2 += 1;
                     } else {
-                        self.events.write_dirty_1 += 1;
+                        self.procs.events.write_dirty_1 += 1;
                     }
                 }
                 (_, None) => {
@@ -811,14 +702,14 @@ impl BusSystem {
         }
         if measuring && is_write && owner.is_none() {
             match (invalidated > 0 || updated_sharers, local) {
-                (false, true) => self.events.write_nosharers_local += 1,
-                (false, false) => self.events.write_nosharers_remote += 1,
-                (true, true) => self.events.write_sharers_local += 1,
-                (true, false) => self.events.write_sharers_remote += 1,
+                (false, true) => self.procs.events.write_nosharers_local += 1,
+                (false, false) => self.procs.events.write_nosharers_remote += 1,
+                (true, true) => self.procs.events.write_sharers_local += 1,
+                (true, false) => self.procs.events.write_sharers_remote += 1,
             }
         }
         if measuring && is_write {
-            self.events.invalidated_copies += invalidated;
+            self.procs.events.invalidated_copies += invalidated;
         }
 
         // --- timing: who supplies, and when
@@ -848,11 +739,11 @@ impl BusSystem {
 
         // Record how the miss was served for the class-latency breakdown.
         if let Some(txn) = self.nodes[i].txn.as_mut() {
-            txn.served = match owner {
-                Some(_) => Served::Dirty,
-                None if local => Served::Local,
-                None => Served::CleanRemote,
-            };
+            txn.served = Some(match owner {
+                Some(_) => MissClass::Dirty,
+                None if local => MissClass::Local,
+                None => MissClass::CleanRemote,
+            });
         }
         // --- commit cache state now (serialisation point), deliver later.
         let b = self.blocks.entry(block.raw()).or_default();
@@ -902,9 +793,9 @@ impl BusSystem {
             }
             if measuring {
                 if vhome == me {
-                    self.events.writeback_local += 1;
+                    self.procs.events.writeback_local += 1;
                 } else {
-                    self.events.writeback_remote += 1;
+                    self.procs.events.writeback_remote += 1;
                 }
             }
         }
@@ -919,40 +810,11 @@ impl BusSystem {
                 self.nodes.iter().map(|n| n.cache.state_of(t.block)).collect();
             sanitize::check_swmr(t.block, &states, &vec![false; states.len()]);
         }
-        let node = &mut self.nodes[i];
-        node.ready_at = node.ready_at.max(self.now);
-        let latency = self.now.saturating_sub(t.start);
-        if node.measuring {
-            if t.kind == TxnKind::Upgrade {
-                self.upg_lat.push_time_ns(latency);
-                self.class_lat.upgrade.record_time(latency);
-                self.obs.txn_end(i, "upgrade", "upgrade", self.now);
-            } else {
-                self.miss_lat.push_time_ns(latency);
-                self.miss_hist.record_time(latency);
-                node.misses += 1;
-                node.miss_lat.record_time(latency);
-                let class = match t.served {
-                    Served::Local => {
-                        self.class_lat.local.record_time(latency);
-                        "local"
-                    }
-                    Served::Dirty => {
-                        self.class_lat.dirty.record_time(latency);
-                        "dirty"
-                    }
-                    _ => {
-                        self.class_lat.clean_remote.record_time(latency);
-                        "clean_remote"
-                    }
-                };
-                self.obs.txn_end(i, "miss", class, self.now);
-            }
-        } else {
-            // Warmup transactions are excluded from every metric, so drop
-            // them from the trace too: spans and histograms must agree.
-            self.obs.txn_abandon(i);
-        }
+        let miss = match t.kind {
+            TxnKind::Upgrade => None,
+            _ => Some(t.served.expect("a miss is served at its serialisation point")),
+        };
+        self.procs.retire(&mut self.obs, i, t.start, self.now, miss);
         self.step_processor(i);
     }
 
@@ -967,14 +829,7 @@ impl BusSystem {
     }
 
     fn build_report(&mut self) -> SimReport {
-        let (per_node, proc_util, sim_end) =
-            crate::report::summarize_nodes(self.nodes.iter().map(|n| NodeMeasure {
-                finished_at: n.finish_at.expect("all nodes finished"),
-                measure_start: n.measure_start,
-                busy: n.busy,
-                misses: n.misses,
-                miss_lat: &n.miss_lat,
-            }));
+        let sim_end = self.procs.sim_end();
         let stats = self.bus.stats();
         let (base, start) = self.snapshot.unwrap_or((ringsim_bus::BusStats::default(), Time::ZERO));
         let window = sim_end.saturating_sub(start);
@@ -988,41 +843,13 @@ impl BusSystem {
                 (t.as_ps() as f64 / window.as_ps() as f64).min(1.0)
             }
         };
-        let report = SimReport {
-            protocol: match self.cfg.protocol {
-                BusProtocol::Msi => "bus-snooping".into(),
-                BusProtocol::Mesi => "bus-mesi".into(),
-                BusProtocol::Dragon => "bus-dragon".into(),
-            },
-            nodes: self.cfg.nodes(),
-            proc_cycle: self.cfg.proc_cycle,
-            sim_end,
-            proc_util,
-            ring_util: frac(busy),
-            probe_util: frac(addr_busy),
-            block_util: frac(data_busy),
-            miss_latency: self.miss_lat,
-            miss_histogram: self.miss_hist.clone(),
-            upgrade_latency: self.upg_lat,
-            class_latencies: self.class_lat.clone(),
-            events: self.events,
-            retries: 0,
-            per_node,
+        let protocol = match self.cfg.protocol {
+            BusProtocol::Msi => "bus-snooping",
+            BusProtocol::Mesi => "bus-mesi",
+            BusProtocol::Dragon => "bus-dragon",
         };
-        if ringsim_obs::global_metrics_enabled() {
-            ringsim_obs::global_record(&report.metrics_summary());
-        }
-        report
+        self.procs.report(protocol.into(), frac(busy), frac(addr_busy), frac(data_busy), 0)
     }
-}
-
-/// Geometry classification kept for cross-interconnect comparability of
-/// event counts (latency on a bus does not depend on it).
-fn dirty_on_path(requester: NodeId, home: NodeId, dirty: NodeId, nodes: usize) -> bool {
-    if home == requester || dirty == home {
-        return false;
-    }
-    requester.hops_to(dirty, nodes) < requester.hops_to(home, nodes)
 }
 
 #[cfg(test)]

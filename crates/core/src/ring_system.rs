@@ -58,25 +58,18 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use ringsim_cache::{AccessClass, Cache, LineState};
-use ringsim_obs::{LatencyHistogram, Obs, ObsConfig, Recorder};
+use ringsim_obs::{Obs, ObsConfig, Recorder};
 use ringsim_proto::transitions::{self, DirAction, DirRequest, HomeSnoopAction, SnoopAction};
 use ringsim_proto::{Directory, HomeMemory, MsgClass, MsgKind, ProtocolKind, RingMessage};
 use ringsim_ring::{RingLayout, SlotId, SlotKind, SlotRing};
-use ringsim_trace::{AddressSpace, NodeStream, Workload, BLOCK_BYTES};
-use ringsim_types::stats::RunningMean;
-use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, NodeId, Region, Time};
+use ringsim_trace::{AddressSpace, Workload};
+use ringsim_types::{BlockAddr, CoherenceEvents, ConfigError, NodeId, Region, Time};
 
 use crate::collections::{FnvMap, RingBuf};
 use crate::config::SystemConfig;
-use crate::report::{ClassLatencies, NodeMeasure, SimReport};
+use crate::proc::{Issue, MissClass, Processors, TxnKind};
+use crate::report::SimReport;
 use crate::sanitize;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnKind {
-    Read,
-    Write,
-    Upgrade,
-}
 
 #[derive(Debug, Clone)]
 struct Txn {
@@ -99,17 +92,7 @@ struct Txn {
 
 #[derive(Debug)]
 struct Node {
-    stream: NodeStream,
     cache: Cache,
-    ready_at: Time,
-    instr_carry: f64,
-    refs_issued: u64,
-    warmup_refs: u64,
-    total_refs: u64,
-    measuring: bool,
-    measure_start: Time,
-    busy: Time,
-    finish_at: Option<Time>,
     txn: Option<Txn>,
     probe_q: RingBuf<RingMessage>,
     block_q: RingBuf<RingMessage>,
@@ -118,8 +101,6 @@ struct Node {
     wb_buffer: HashSet<u64>,
     /// Forwards that arrived while this node's own fill was in flight.
     pending_fwds: Vec<RingMessage>,
-    misses: u64,
-    miss_lat: LatencyHistogram,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,6 +231,7 @@ struct Interest {
 pub struct RingSystem {
     cfg: SystemConfig,
     ring: SlotRing<RingMessage>,
+    procs: Processors,
     nodes: Vec<Node>,
     space: AddressSpace,
     // Snooping memory state.
@@ -259,12 +241,6 @@ pub struct RingSystem {
     home_txns: FnvMap<u64, HomeTxn>,
     home_pending: FnvMap<u64, VecDeque<RingMessage>>,
     queue: crate::EventQueue<Event>,
-    // Metrics.
-    miss_lat: RunningMean,
-    miss_hist: LatencyHistogram,
-    upg_lat: RunningMean,
-    class_lat: ClassLatencies,
-    events: CoherenceEvents,
     retries: u64,
     snapshot: Option<(ringsim_ring::RingStats, Time)>,
     // Telemetry (no-op unless `attach_obs` was called).
@@ -279,10 +255,6 @@ pub struct RingSystem {
     /// Snooping only: per-block probe interest, keyed by raw block number.
     /// An entry exists only while one of its masks is non-empty.
     interest: FnvMap<u64, Interest>,
-    /// Nodes whose `finish_at` is set (termination check without a scan).
-    finished_nodes: usize,
-    /// Nodes past warm-up (measured-window check without a scan).
-    measuring_nodes: usize,
     /// Earliest ring cycle at which each processor could issue again
     /// (`u64::MAX` while a transaction is in flight or the node has
     /// finished). Lets the per-cycle processor pass skip blocked nodes
@@ -299,38 +271,18 @@ impl RingSystem {
     /// workload's processor count does not match the ring's node count.
     pub fn new(cfg: SystemConfig, workload: Workload) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        if workload.procs() != cfg.nodes() {
-            return Err(ConfigError::new(
-                "workload.procs",
-                format!("workload has {} processors, ring has {}", workload.procs(), cfg.nodes()),
-            ));
-        }
-        let spec = workload.spec().clone();
         let space = workload.space();
+        let procs = Processors::new(workload, cfg.nodes(), cfg.proc_cycle)?;
         let ring = SlotRing::new(cfg.ring)?;
-        let nodes = workload
-            .into_streams()
-            .into_iter()
-            .map(|stream| {
+        let nodes = (0..cfg.nodes())
+            .map(|_| {
                 Ok(Node {
-                    stream,
                     cache: Cache::new(cfg.cache)?,
-                    ready_at: Time::ZERO,
-                    instr_carry: 0.0,
-                    refs_issued: 0,
-                    warmup_refs: spec.warmup_refs_per_proc,
-                    total_refs: spec.warmup_refs_per_proc + spec.data_refs_per_proc,
-                    measuring: false,
-                    measure_start: Time::ZERO,
-                    busy: Time::ZERO,
-                    finish_at: None,
                     txn: None,
                     probe_q: RingBuf::new(),
                     block_q: RingBuf::new(),
                     wb_buffer: HashSet::new(),
                     pending_fwds: Vec::new(),
-                    misses: 0,
-                    miss_lat: LatencyHistogram::new(),
                 })
             })
             .collect::<Result<Vec<_>, ConfigError>>()?;
@@ -339,6 +291,7 @@ impl RingSystem {
         Ok(Self {
             cfg,
             ring,
+            procs,
             nodes,
             space,
             mem: HomeMemory::new(),
@@ -346,11 +299,6 @@ impl RingSystem {
             home_txns: FnvMap::default(),
             home_pending: FnvMap::default(),
             queue: crate::EventQueue::new(),
-            miss_lat: RunningMean::default(),
-            miss_hist: LatencyHistogram::new(),
-            upg_lat: RunningMean::default(),
-            class_lat: ClassLatencies::default(),
-            events: CoherenceEvents::default(),
             retries: 0,
             snapshot: None,
             obs: Obs::disabled(),
@@ -359,8 +307,6 @@ impl RingSystem {
             bank_free_at: vec![Time::ZERO; n],
             dispatch,
             interest: FnvMap::default(),
-            finished_nodes: 0,
-            measuring_nodes: 0,
             wake_at: vec![0; n],
         })
     }
@@ -419,8 +365,8 @@ impl RingSystem {
             while let Some((_, ev)) = self.queue.pop_due(now) {
                 self.dispatch(ev, now);
             }
-            // 2. processors (only the ones that could act this cycle —
-            // `step_processor` is a no-op for the rest by its own guard).
+            // 2. processors (only the ones that could act this cycle; see
+            // `refresh_wake`).
             let cycle = self.ring.cycle();
             for i in 0..self.nodes.len() {
                 if self.wake_at[i] <= cycle {
@@ -466,7 +412,7 @@ impl RingSystem {
                 self.obs.sample(self.obs_ring_tl, now, values);
             }
             // 5. termination / watchdog.
-            if self.finished_nodes == self.nodes.len() {
+            if self.procs.all_finished() {
                 break;
             }
             if self.ring.cycle() - self.last_progress_cycle > 4_000_000 {
@@ -479,7 +425,7 @@ impl RingSystem {
             self.ring.advance();
             // Start the measured ring-utilisation window once every node has
             // warmed up.
-            if self.snapshot.is_none() && self.measuring_nodes == self.nodes.len() {
+            if self.snapshot.is_none() && self.procs.all_measuring() {
                 self.snapshot = Some((self.ring.stats(), self.ring.now()));
             }
         }
@@ -509,92 +455,42 @@ impl RingSystem {
     // ----------------------------------------------------------- processors
 
     /// Recomputes `wake_at[i]` from the node's blocking state. Must be
-    /// called after anything that clears a transaction or moves
-    /// `ready_at` (i.e. [`Self::step_processor`] and
-    /// [`Self::finish_txn_at`]); skipping a node whose wake cycle has not
-    /// arrived is then exactly equivalent to `step_processor`'s own
-    /// early-return guard.
+    /// called after anything that clears a transaction or moves its issue
+    /// time (i.e. [`Self::step_processor`] and [`Self::finish_txn`]), so
+    /// that a node is stepped only when it can issue: no transaction
+    /// outstanding, budget not spent, issue time reached.
     fn refresh_wake(&mut self, i: usize) {
-        let node = &self.nodes[i];
-        self.wake_at[i] = if node.txn.is_some() || node.finish_at.is_some() {
-            u64::MAX
-        } else {
-            let period = self.ring.config().clock_period.as_ps();
-            node.ready_at.as_ps().div_ceil(period)
+        self.wake_at[i] = match self.procs.ready_at(i) {
+            Some(ready_at) if self.nodes[i].txn.is_none() => {
+                ready_at.as_ps().div_ceil(self.ring.config().clock_period.as_ps())
+            }
+            _ => u64::MAX,
         };
     }
 
     fn step_processor(&mut self, i: usize, now: Time) {
-        loop {
-            let node = &mut self.nodes[i];
-            if node.finish_at.is_some() || node.txn.is_some() || node.ready_at > now {
-                return;
+        while let Issue::Ref(r, block) = self.procs.next_ref(i, now, now) {
+            let class = self.nodes[i].cache.classify(block, r.kind);
+            if class == AccessClass::Hit {
+                continue;
             }
-            if node.refs_issued == node.total_refs {
-                node.finish_at = Some(node.ready_at.max(now));
-                self.finished_nodes += 1;
-                return;
-            }
-            // Instruction time for this data reference (instruction fetches
-            // never miss; fractional instruction counts carry over).
-            let icycles = node.instr_carry + node.stream.instr_per_data();
-            let whole = icycles.floor();
-            node.instr_carry = icycles - whole;
-            let cost = self.cfg.proc_cycle * (1 + whole as u64);
-            if node.measuring {
-                node.busy += cost;
-            }
-            node.ready_at += cost;
-            let r = node.stream.next_ref();
-            node.refs_issued += 1;
-            if !node.measuring && node.refs_issued > node.warmup_refs {
-                node.measuring = true;
-                self.measuring_nodes += 1;
-                node.measure_start = node.ready_at;
-                node.busy = cost; // this reference is the first measured one
-            }
-            let block = r.addr.block(BLOCK_BYTES);
-            let class = node.cache.classify(block, r.kind);
-            if node.measuring {
-                match (r.region, r.kind) {
-                    (Region::Private, AccessKind::Read) => self.events.private_reads += 1,
-                    (Region::Private, AccessKind::Write) => self.events.private_writes += 1,
-                    (Region::Shared, AccessKind::Read) => self.events.shared_reads += 1,
-                    (Region::Shared, AccessKind::Write) => self.events.shared_writes += 1,
-                }
-            }
-            match class {
-                AccessClass::Hit => {}
-                AccessClass::Upgrade | AccessClass::Miss => {
-                    let kind = match (class, r.kind) {
-                        (AccessClass::Upgrade, _) => TxnKind::Upgrade,
-                        (_, AccessKind::Read) => TxnKind::Read,
-                        (_, AccessKind::Write) => TxnKind::Write,
-                    };
-                    let start = self.nodes[i].ready_at;
-                    self.nodes[i].txn = Some(Txn {
-                        block,
-                        kind,
-                        region: r.region,
-                        start,
-                        self_owner: false,
-                        local_path: false,
-                        local_data_ready: Time::ZERO,
-                        poisoned: false,
-                        invalidated: 0,
-                        retries: 0,
-                    });
-                    let op = match kind {
-                        TxnKind::Read => "read",
-                        TxnKind::Write => "write",
-                        TxnKind::Upgrade => "upgrade",
-                    };
-                    self.obs.txn_begin(i, op, block.raw(), start);
-                    self.txn_started(i, block);
-                    self.issue_txn(i, now.max(start));
-                    return;
-                }
-            }
+            let kind = TxnKind::of(class, r.kind);
+            let start = self.procs.begin(&mut self.obs, i, kind, block);
+            self.nodes[i].txn = Some(Txn {
+                block,
+                kind,
+                region: r.region,
+                start,
+                self_owner: false,
+                local_path: false,
+                local_data_ready: Time::ZERO,
+                poisoned: false,
+                invalidated: 0,
+                retries: 0,
+            });
+            self.txn_started(i, block);
+            self.issue_txn(i, now.max(start));
+            return;
         }
     }
 
@@ -1072,7 +968,7 @@ impl RingSystem {
                 let ok = self.nodes[i].cache.promote(t.block);
                 debug_assert!(ok, "acked upgrade failed to promote");
                 let done = now + delay;
-                self.finish_txn_at(i, done, None);
+                self.finish_txn(i, done, None);
             }
             TxnKind::Write if t.self_owner => {
                 let done = now.max(t.local_data_ready);
@@ -1171,21 +1067,17 @@ impl RingSystem {
     }
 
     fn count_writeback(&mut self, i: usize, local: bool) {
-        if self.nodes[i].measuring {
+        if self.procs.measuring(i) {
             if local {
-                self.events.writeback_local += 1;
+                self.procs.events.writeback_local += 1;
             } else {
-                self.events.writeback_remote += 1;
+                self.procs.events.writeback_remote += 1;
             }
         }
     }
 
-    /// Finish the in-flight transaction for node `i` at time `now`.
-    fn finish_txn(&mut self, i: usize, now: Time, reply: Option<RingMessage>) {
-        self.finish_txn_at(i, now, reply);
-    }
-
-    fn finish_txn_at(&mut self, i: usize, done: Time, reply: Option<RingMessage>) {
+    /// Finish the in-flight transaction for node `i` at time `done`.
+    fn finish_txn(&mut self, i: usize, done: Time, reply: Option<RingMessage>) {
         let t = self.nodes[i].txn.take().expect("finishing absent txn");
         self.update_interest(i, t.block, |e, b| e.txns &= !b);
         // Serve any forwards that waited for this fill (directory mode).
@@ -1200,46 +1092,23 @@ impl RingSystem {
         if sanitize::sanitize_enabled() {
             self.sanitize_retired_block(t.block);
         }
-        let node = &mut self.nodes[i];
-        node.ready_at = node.ready_at.max(done);
         self.last_progress_cycle = self.ring.cycle();
-        let latency = done.saturating_sub(t.start);
-        if node.measuring {
-            let is_upgrade_final = t.kind == TxnKind::Upgrade;
-            let class;
-            if is_upgrade_final {
-                self.upg_lat.push_time_ns(latency);
-                self.class_lat.upgrade.record_time(latency);
-                class = "upgrade";
+        // Class bucket from the requester's observations. A reply whose
+        // source is the requester itself came from the local home
+        // (directory mode serves local misses without the ring).
+        let me = NodeId::new(i);
+        let miss = (t.kind != TxnKind::Upgrade).then(|| {
+            if t.local_path || reply.is_some_and(|m| m.src == me && !m.from_dirty) {
+                MissClass::Local
+            } else if reply.is_some_and(|m| m.from_dirty) {
+                MissClass::Dirty
             } else {
-                self.miss_lat.push_time_ns(latency);
-                self.miss_hist.record_time(latency);
-                node.misses += 1;
-                node.miss_lat.record_time(latency);
-                // Class bucket from the requester's observations. A reply
-                // whose source is the requester itself came from the local
-                // home (directory mode serves local misses without the
-                // ring).
-                let me = NodeId::new(i);
-                if t.local_path || reply.is_some_and(|m| m.src == me && !m.from_dirty) {
-                    self.class_lat.local.record_time(latency);
-                    class = "local";
-                } else if reply.is_some_and(|m| m.from_dirty) {
-                    self.class_lat.dirty.record_time(latency);
-                    class = "dirty";
-                } else {
-                    self.class_lat.clean_remote.record_time(latency);
-                    class = "clean_remote";
-                }
+                MissClass::CleanRemote
             }
-            self.obs.txn_end(i, if is_upgrade_final { "upgrade" } else { "miss" }, class, done);
-            if self.cfg.protocol == ProtocolKind::Snooping {
-                self.classify_snooping(i, &t, reply);
-            }
-        } else {
-            // Warmup transactions do not count toward any metric; keep the
-            // trace consistent with the histograms by dropping them too.
-            self.obs.txn_abandon(i);
+        });
+        self.procs.retire(&mut self.obs, i, t.start, done, miss);
+        if self.procs.measuring(i) && self.cfg.protocol == ProtocolKind::Snooping {
+            self.classify_snooping(i, &t, reply);
         }
         self.refresh_wake(i);
     }
@@ -1251,7 +1120,7 @@ impl RingSystem {
         let block = t.block;
         let home = self.home_of(block);
         let local = home == me;
-        let ev = &mut self.events;
+        let ev = &mut self.procs.events;
         match t.region {
             Region::Private => {
                 if t.kind != TxnKind::Upgrade {
@@ -1396,7 +1265,7 @@ impl RingSystem {
     }
 
     fn measuring_requester(&self, req: &RingMessage) -> bool {
-        self.nodes[req.requester.index()].measuring
+        self.procs.measuring(req.requester.index())
     }
 
     fn requester_region(&self, req: &RingMessage) -> Region {
@@ -1443,11 +1312,11 @@ impl RingSystem {
                 debug_assert_ne!(d, requester, "requester misses on a block it owns");
                 if measuring {
                     if region == Region::Private {
-                        self.events.private_misses += 1;
+                        self.procs.events.private_misses += 1;
                     } else if dirty_on_path(requester, home, d, self.cfg.nodes()) {
-                        self.events.read_dirty_2 += 1;
+                        self.procs.events.read_dirty_2 += 1;
                     } else {
-                        self.events.read_dirty_1 += 1;
+                        self.procs.events.read_dirty_1 += 1;
                     }
                 }
                 let fwd =
@@ -1466,11 +1335,11 @@ impl RingSystem {
             DirAction::GrantData => {
                 if measuring {
                     if region == Region::Private {
-                        self.events.private_misses += 1;
+                        self.procs.events.private_misses += 1;
                     } else if local {
-                        self.events.read_clean_local += 1;
+                        self.procs.events.read_clean_local += 1;
                     } else {
-                        self.events.read_clean_remote += 1;
+                        self.procs.events.read_clean_remote += 1;
                     }
                 }
                 self.dir.add_sharer(block, requester);
@@ -1505,11 +1374,11 @@ impl RingSystem {
                 debug_assert_ne!(d, requester);
                 if measuring {
                     if region == Region::Private {
-                        self.events.private_misses += 1;
+                        self.procs.events.private_misses += 1;
                     } else if dirty_on_path(requester, home, d, self.cfg.nodes()) {
-                        self.events.write_dirty_2 += 1;
+                        self.procs.events.write_dirty_2 += 1;
                     } else {
-                        self.events.write_dirty_1 += 1;
+                        self.procs.events.write_dirty_1 += 1;
                     }
                 }
                 let fwd =
@@ -1528,16 +1397,16 @@ impl RingSystem {
                 if measuring {
                     if region == Region::Private {
                         if !converted_upgrade {
-                            self.events.private_misses += 1;
+                            self.procs.events.private_misses += 1;
                         }
                     } else {
                         match (others != 0, local) {
-                            (false, true) => self.events.write_nosharers_local += 1,
-                            (false, false) => self.events.write_nosharers_remote += 1,
-                            (true, true) => self.events.write_sharers_local += 1,
-                            (true, false) => self.events.write_sharers_remote += 1,
+                            (false, true) => self.procs.events.write_nosharers_local += 1,
+                            (false, false) => self.procs.events.write_nosharers_remote += 1,
+                            (true, true) => self.procs.events.write_sharers_local += 1,
+                            (true, false) => self.procs.events.write_sharers_remote += 1,
                         }
-                        self.events.invalidated_copies += others.count_ones() as u64;
+                        self.procs.events.invalidated_copies += others.count_ones() as u64;
                     }
                 }
                 if action == DirAction::InvalidateSharers {
@@ -1583,17 +1452,17 @@ impl RingSystem {
         let local = home == requester;
         if measuring && region == Region::Shared {
             match (others != 0, local) {
-                (false, true) => self.events.upgrade_nosharers_local += 1,
-                (false, false) => self.events.upgrade_nosharers_remote += 1,
-                (true, true) => self.events.upgrade_sharers_local += 1,
-                (true, false) => self.events.upgrade_sharers_remote += 1,
+                (false, true) => self.procs.events.upgrade_nosharers_local += 1,
+                (false, false) => self.procs.events.upgrade_nosharers_remote += 1,
+                (true, true) => self.procs.events.upgrade_sharers_local += 1,
+                (true, false) => self.procs.events.upgrade_sharers_remote += 1,
             }
-            self.events.invalidated_copies += others.count_ones() as u64;
+            self.procs.events.invalidated_copies += others.count_ones() as u64;
         } else if measuring && region == Region::Private && others == 0 {
             if local {
-                self.events.upgrade_nosharers_local += 1;
+                self.procs.events.upgrade_nosharers_local += 1;
             } else {
-                self.events.upgrade_nosharers_remote += 1;
+                self.procs.events.upgrade_nosharers_remote += 1;
             }
         }
         match transitions::dir_action(&entry, requester, DirRequest::Upgrade) {
@@ -1717,14 +1586,6 @@ impl RingSystem {
     // ------------------------------------------------------------ report
 
     fn build_report(&mut self) -> SimReport {
-        let (per_node, proc_util, sim_end) =
-            crate::report::summarize_nodes(self.nodes.iter().map(|n| NodeMeasure {
-                finished_at: n.finish_at.expect("all nodes finished"),
-                measure_start: n.measure_start,
-                busy: n.busy,
-                misses: n.misses,
-                miss_lat: &n.miss_lat,
-            }));
         let total_stats = self.ring.stats();
         let (base, _) = self.snapshot.unwrap_or((ringsim_ring::RingStats::default(), Time::ZERO));
         let window = ringsim_ring::RingStats {
@@ -1735,27 +1596,13 @@ impl RingSystem {
             occupied_probe_cycles: total_stats.occupied_probe_cycles - base.occupied_probe_cycles,
             occupied_block_cycles: total_stats.occupied_block_cycles - base.occupied_block_cycles,
         };
-        let report = SimReport {
-            protocol: self.cfg.protocol.name().to_owned(),
-            nodes: self.cfg.nodes(),
-            proc_cycle: self.cfg.proc_cycle,
-            sim_end,
-            proc_util,
-            ring_util: window.slot_utilization(self.ring.layout().slot_count()),
-            probe_util: window.probe_utilization(self.ring.probe_slots()),
-            block_util: window.block_utilization(self.ring.block_slots()),
-            miss_latency: self.miss_lat,
-            miss_histogram: self.miss_hist.clone(),
-            upgrade_latency: self.upg_lat,
-            class_latencies: self.class_lat.clone(),
-            events: self.events,
-            retries: self.retries,
-            per_node,
-        };
-        if ringsim_obs::global_metrics_enabled() {
-            ringsim_obs::global_record(&report.metrics_summary());
-        }
-        report
+        self.procs.report(
+            self.cfg.protocol.name().to_owned(),
+            window.slot_utilization(self.ring.layout().slot_count()),
+            window.probe_utilization(self.ring.probe_slots()),
+            window.block_utilization(self.ring.block_slots()),
+            self.retries,
+        )
     }
 
     /// Coherence state of `block` in node `i`'s cache (inspection hook for
@@ -1773,7 +1620,7 @@ impl RingSystem {
     /// report).
     #[must_use]
     pub fn events(&self) -> CoherenceEvents {
-        self.events
+        self.procs.events
     }
 
     /// Number of `(node, slot)` arrivals the run has handled so far — the
@@ -1873,7 +1720,7 @@ impl RingSystem {
 
 /// `true` when the dirty node lies on the requester→home segment of the
 /// ring, forcing a second traversal (paper Figure 2b).
-fn dirty_on_path(requester: NodeId, home: NodeId, dirty: NodeId, nodes: usize) -> bool {
+pub(crate) fn dirty_on_path(requester: NodeId, home: NodeId, dirty: NodeId, nodes: usize) -> bool {
     if home == requester || dirty == home {
         return false;
     }

@@ -25,27 +25,20 @@
 //! completed transaction.
 
 use ringsim_cache::{AccessClass, LineState};
-use ringsim_obs::{LatencyHistogram, Obs, ObsConfig, Recorder};
+use ringsim_obs::{Obs, ObsConfig, Recorder};
 use ringsim_proto::sci::SciEngine;
 use ringsim_proto::table1::TraversalReport;
 use ringsim_ring::RingConfig;
-use ringsim_trace::{NodeStream, Workload, BLOCK_BYTES};
-use ringsim_types::stats::RunningMean;
-use ringsim_types::{
-    AccessKind, BlockAddr, CoherenceEvents, ConfigError, MemRef, NodeId, Region, Time,
-};
+use ringsim_trace::Workload;
+use ringsim_types::{AccessKind, BlockAddr, ConfigError, MemRef, NodeId, Region, Time};
 
 use crate::collections::FnvMap;
-use crate::report::{ClassLatencies, NodeMeasure, SimReport};
+use crate::proc::{Issue, MissClass, Processors, TxnKind, PROC_QUANTUM};
+use crate::report::SimReport;
 use crate::sanitize;
 
 /// Windowed-accumulator slot for home-queue wait (see [`Obs::acc_add`]).
 const ACC_HOME_WAIT: usize = 0;
-
-/// Quantum of lookahead a processor may run ahead of the global event
-/// clock while it keeps hitting in its cache (same bound as the bus
-/// simulator).
-const PROC_QUANTUM: Time = Time::from_ns(200);
 
 /// Configuration of an SCI linked-list-directory ring system.
 ///
@@ -135,33 +128,9 @@ impl SciSystemConfig {
 #[derive(Debug, Clone, Copy)]
 struct Txn {
     block: BlockAddr,
-    class: AccessClass,
+    kind: TxnKind,
     start: Time,
-    served: Served,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Served {
-    Local,
-    CleanRemote,
-    Dirty,
-}
-
-#[derive(Debug)]
-struct SciNode {
-    stream: NodeStream,
-    ready_at: Time,
-    instr_carry: f64,
-    refs_issued: u64,
-    warmup_refs: u64,
-    total_refs: u64,
-    measuring: bool,
-    measure_start: Time,
-    busy: Time,
-    finish_at: Option<Time>,
-    txn: Option<Txn>,
-    misses: u64,
-    miss_lat: LatencyHistogram,
+    served: MissClass,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,14 +159,15 @@ pub struct SciRingSystem {
     /// Protocol truth: caches + sharing lists + traversal accounting,
     /// every home decision dispatched through the SCI rule set.
     engine: SciEngine<Box<dyn Fn(BlockAddr) -> NodeId>>,
-    nodes: Vec<SciNode>,
+    procs: Processors,
+    /// Each node's outstanding transaction.
+    txns: Vec<Option<Txn>>,
     /// Per-block home-queue serialisation: earliest time the home will
     /// admit the block's next transaction. Private blocks are skipped
     /// (their single user serialises itself).
     block_free: FnvMap<u64, Time>,
     /// One full ring rotation at the configured clock.
     revolution: Time,
-    measuring_nodes: usize,
     queue: crate::EventQueue<Event>,
     now: Time,
     /// Total in-flight ring time charged so far (for utilisation).
@@ -205,11 +175,6 @@ pub struct SciRingSystem {
     /// `(travel, now)` at the instant every node entered its measured
     /// window.
     snapshot: Option<(Time, Time)>,
-    miss_lat: RunningMean,
-    miss_hist: LatencyHistogram,
-    upg_lat: RunningMean,
-    class_lat: ClassLatencies,
-    events: CoherenceEvents,
     // Telemetry (no-op unless `attach_obs` was called).
     obs: Obs,
     obs_sci_tl: usize,
@@ -225,53 +190,23 @@ impl SciRingSystem {
     /// workload's processor count does not match the ring's node count.
     pub fn new(cfg: SciSystemConfig, workload: Workload) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        if workload.procs() != cfg.nodes() {
-            return Err(ConfigError::new(
-                "workload.procs",
-                format!("workload has {} processors, ring has {}", workload.procs(), cfg.nodes()),
-            ));
-        }
-        let spec = workload.spec().clone();
         let space = workload.space();
+        let procs = Processors::new(workload, cfg.nodes(), cfg.proc_cycle)?;
         let layout = cfg.ring.layout()?;
         let revolution = cfg.ring.clock_period * layout.round_trip_cycles() as u64;
         let home: Box<dyn Fn(BlockAddr) -> NodeId> = Box::new(move |b| space.home_of_block(b));
         let engine = SciEngine::new(layout, home)?;
-        let nodes = workload
-            .into_streams()
-            .into_iter()
-            .map(|stream| SciNode {
-                stream,
-                ready_at: Time::ZERO,
-                instr_carry: 0.0,
-                refs_issued: 0,
-                warmup_refs: spec.warmup_refs_per_proc,
-                total_refs: spec.warmup_refs_per_proc + spec.data_refs_per_proc,
-                measuring: false,
-                measure_start: Time::ZERO,
-                busy: Time::ZERO,
-                finish_at: None,
-                txn: None,
-                misses: 0,
-                miss_lat: LatencyHistogram::new(),
-            })
-            .collect();
         Ok(Self {
             cfg,
             engine,
-            nodes,
+            procs,
+            txns: vec![None; cfg.nodes()],
             block_free: FnvMap::default(),
             revolution,
-            measuring_nodes: 0,
             queue: crate::EventQueue::new(),
             now: Time::ZERO,
             travel: Time::ZERO,
             snapshot: None,
-            miss_lat: RunningMean::default(),
-            miss_hist: LatencyHistogram::new(),
-            upg_lat: RunningMean::default(),
-            class_lat: ClassLatencies::default(),
-            events: CoherenceEvents::default(),
             obs: Obs::disabled(),
             obs_sci_tl: usize::MAX,
             obs_window: (Time::ZERO, Time::ZERO),
@@ -283,7 +218,7 @@ impl SciRingSystem {
     /// window, outstanding transactions, mean home-queue wait). Strictly
     /// observational.
     pub fn attach_obs(&mut self, cfg: ObsConfig) {
-        let mut obs = Obs::enabled(cfg, self.nodes.len());
+        let mut obs = Obs::enabled(cfg, self.txns.len());
         self.obs_sci_tl = obs.add_timeline("sci", &["travel", "outstanding", "home_wait_ns"]);
         self.obs = obs;
     }
@@ -330,7 +265,7 @@ impl SciRingSystem {
 
     /// Runs to completion.
     pub fn run(&mut self) -> SimReport {
-        for i in 0..self.nodes.len() {
+        for i in 0..self.txns.len() {
             self.schedule(Time::ZERO, Event::ProcReady { node: i });
         }
         while let Some((t, ev)) = self.queue.pop() {
@@ -339,7 +274,7 @@ impl SciRingSystem {
                 Event::ProcReady { node } => self.step_processor(node),
                 Event::Complete { node } => self.complete(node),
             }
-            if self.snapshot.is_none() && self.measuring_nodes == self.nodes.len() {
+            if self.snapshot.is_none() && self.procs.all_measuring() {
                 self.snapshot = Some((self.travel, self.now));
             }
             if self.obs.sample_due(self.now) {
@@ -359,62 +294,26 @@ impl SciRingSystem {
         } else {
             (self.travel.saturating_sub(prev).as_ps() as f64 / window.as_ps() as f64).min(1.0)
         };
-        let outstanding = self.nodes.iter().filter(|n| n.txn.is_some()).count() as f64;
+        let outstanding = self.txns.iter().filter(|t| t.is_some()).count() as f64;
         let wait = self.obs.acc_take_mean(ACC_HOME_WAIT);
         self.obs.sample(self.obs_sci_tl, self.now, vec![frac, outstanding, wait]);
         self.obs_window = (self.travel, self.now);
     }
 
     fn step_processor(&mut self, i: usize) {
-        let horizon = self.now + PROC_QUANTUM;
         loop {
-            let node = &mut self.nodes[i];
-            if node.finish_at.is_some() || node.txn.is_some() {
-                return;
-            }
-            if node.ready_at > horizon {
-                let at = node.ready_at;
-                self.schedule(at, Event::ProcReady { node: i });
-                return;
-            }
-            if node.refs_issued == node.total_refs {
-                node.finish_at = Some(node.ready_at);
-                return;
-            }
-            let icycles = node.instr_carry + node.stream.instr_per_data();
-            let whole = icycles.floor();
-            node.instr_carry = icycles - whole;
-            let cost = self.cfg.proc_cycle * (1 + whole as u64);
-            if node.measuring {
-                node.busy += cost;
-            }
-            node.ready_at += cost;
-            let r = node.stream.next_ref();
-            node.refs_issued += 1;
-            if !node.measuring && node.refs_issued > node.warmup_refs {
-                node.measuring = true;
-                self.measuring_nodes += 1;
-                node.measure_start = node.ready_at;
-                node.busy = cost;
-            }
-            let block = r.addr.block(BLOCK_BYTES);
-            if node.measuring {
-                match (r.region, r.kind) {
-                    (Region::Private, AccessKind::Read) => self.events.private_reads += 1,
-                    (Region::Private, AccessKind::Write) => self.events.private_writes += 1,
-                    (Region::Shared, AccessKind::Read) => self.events.shared_reads += 1,
-                    (Region::Shared, AccessKind::Write) => self.events.shared_writes += 1,
-                }
-            }
+            let (r, block) = match self.procs.next_ref(i, self.now, self.now + PROC_QUANTUM) {
+                Issue::Ref(r, block) => (r, block),
+                Issue::Ahead(at) => return self.schedule(at, Event::ProcReady { node: i }),
+                Issue::Done => return,
+            };
             // The serialisation point: the home admits the request and the
             // engine applies list + cache mutations atomically; only the
             // latencies play out in event time.
             let step = self.engine.process(r, None);
-            if step.class == AccessClass::Hit {
-                continue;
+            if step.class != AccessClass::Hit {
+                return self.issue_txn(i, r, block, step);
             }
-            self.issue_txn(i, r, block, step);
-            return;
         }
     }
 
@@ -428,11 +327,10 @@ impl SciRingSystem {
         let me = NodeId::new(i);
         let home = self.engine.home(block);
         let local = home == me;
-        let measuring = self.nodes[i].measuring;
-        let start = self.nodes[i].ready_at;
-        let is_upgrade = step.class == AccessClass::Upgrade;
-
-        self.obs.txn_begin(i, if is_upgrade { "upgrade" } else { "miss" }, block.raw(), start);
+        let measuring = self.procs.measuring(i);
+        let kind = TxnKind::of(step.class, r.kind);
+        let is_upgrade = kind == TxnKind::Upgrade;
+        let start = self.procs.begin(&mut self.obs, i, kind, block);
 
         // Home-queue admission: shared blocks serialise per block.
         let serve_at = if r.region == Region::Shared {
@@ -460,114 +358,77 @@ impl SciRingSystem {
         if measuring {
             if r.region == Region::Private {
                 if is_upgrade {
-                    self.events.upgrade_nosharers_local += 1;
+                    self.procs.events.upgrade_nosharers_local += 1;
                 } else {
-                    self.events.private_misses += 1;
+                    self.procs.events.private_misses += 1;
                 }
             } else if is_upgrade {
                 match (step.invalidated > 0, local) {
-                    (false, true) => self.events.upgrade_nosharers_local += 1,
-                    (false, false) => self.events.upgrade_nosharers_remote += 1,
-                    (true, true) => self.events.upgrade_sharers_local += 1,
-                    (true, false) => self.events.upgrade_sharers_remote += 1,
+                    (false, true) => self.procs.events.upgrade_nosharers_local += 1,
+                    (false, false) => self.procs.events.upgrade_nosharers_remote += 1,
+                    (true, true) => self.procs.events.upgrade_sharers_local += 1,
+                    (true, false) => self.procs.events.upgrade_sharers_remote += 1,
                 }
-                self.events.invalidated_copies += step.invalidated as u64;
+                self.procs.events.invalidated_copies += step.invalidated as u64;
             } else if r.kind == AccessKind::Read {
                 if step.dirty_supply {
                     if step.traversals >= 2 {
-                        self.events.read_dirty_2 += 1;
+                        self.procs.events.read_dirty_2 += 1;
                     } else {
-                        self.events.read_dirty_1 += 1;
+                        self.procs.events.read_dirty_1 += 1;
                     }
                 } else if local {
-                    self.events.read_clean_local += 1;
+                    self.procs.events.read_clean_local += 1;
                 } else {
-                    self.events.read_clean_remote += 1;
+                    self.procs.events.read_clean_remote += 1;
                 }
             } else {
                 if step.dirty_supply {
                     if step.traversals >= 2 {
-                        self.events.write_dirty_2 += 1;
+                        self.procs.events.write_dirty_2 += 1;
                     } else {
-                        self.events.write_dirty_1 += 1;
+                        self.procs.events.write_dirty_1 += 1;
                     }
                 } else {
                     match (step.invalidated > 0, local) {
-                        (false, true) => self.events.write_nosharers_local += 1,
-                        (false, false) => self.events.write_nosharers_remote += 1,
-                        (true, true) => self.events.write_sharers_local += 1,
-                        (true, false) => self.events.write_sharers_remote += 1,
+                        (false, true) => self.procs.events.write_nosharers_local += 1,
+                        (false, false) => self.procs.events.write_nosharers_remote += 1,
+                        (true, true) => self.procs.events.write_sharers_local += 1,
+                        (true, false) => self.procs.events.write_sharers_remote += 1,
                     }
                 }
-                self.events.invalidated_copies += step.invalidated as u64;
+                self.procs.events.invalidated_copies += step.invalidated as u64;
             }
         }
 
         let served = if step.dirty_supply {
-            Served::Dirty
+            MissClass::Dirty
         } else if local {
-            Served::Local
+            MissClass::Local
         } else {
-            Served::CleanRemote
+            MissClass::CleanRemote
         };
-        self.nodes[i].txn = Some(Txn { block, class: step.class, start, served });
+        self.txns[i] = Some(Txn { block, kind, start, served });
         self.schedule(completion, Event::Complete { node: i });
     }
 
     fn complete(&mut self, i: usize) {
-        let t = self.nodes[i].txn.take().expect("completing absent txn");
+        let t = self.txns[i].take().expect("completing absent txn");
         if sanitize::sanitize_enabled() {
             // List and cache mutations are atomic at the serialisation
             // point, so SWMR must hold outright at every retire.
-            let states: Vec<LineState> = (0..self.nodes.len())
+            let states: Vec<LineState> = (0..self.txns.len())
                 .map(|j| self.engine.state_of(NodeId::new(j), t.block))
                 .collect();
             sanitize::check_swmr(t.block, &states, &vec![false; states.len()]);
         }
-        let node = &mut self.nodes[i];
-        node.ready_at = node.ready_at.max(self.now);
-        let latency = self.now.saturating_sub(t.start);
-        if node.measuring {
-            if t.class == AccessClass::Upgrade {
-                self.upg_lat.push_time_ns(latency);
-                self.class_lat.upgrade.record_time(latency);
-                self.obs.txn_end(i, "upgrade", "upgrade", self.now);
-            } else {
-                self.miss_lat.push_time_ns(latency);
-                self.miss_hist.record_time(latency);
-                node.misses += 1;
-                node.miss_lat.record_time(latency);
-                let class = match t.served {
-                    Served::Local => {
-                        self.class_lat.local.record_time(latency);
-                        "local"
-                    }
-                    Served::Dirty => {
-                        self.class_lat.dirty.record_time(latency);
-                        "dirty"
-                    }
-                    Served::CleanRemote => {
-                        self.class_lat.clean_remote.record_time(latency);
-                        "clean_remote"
-                    }
-                };
-                self.obs.txn_end(i, "miss", class, self.now);
-            }
-        } else {
-            self.obs.txn_abandon(i);
-        }
+        let miss = (t.kind != TxnKind::Upgrade).then_some(t.served);
+        self.procs.retire(&mut self.obs, i, t.start, self.now, miss);
         self.step_processor(i);
     }
 
     fn build_report(&mut self) -> SimReport {
-        let (per_node, proc_util, sim_end) =
-            crate::report::summarize_nodes(self.nodes.iter().map(|n| NodeMeasure {
-                finished_at: n.finish_at.expect("all nodes finished"),
-                measure_start: n.measure_start,
-                busy: n.busy,
-                misses: n.misses,
-                miss_lat: &n.miss_lat,
-            }));
+        let sim_end = self.procs.sim_end();
         let (base_travel, start) = self.snapshot.unwrap_or((Time::ZERO, Time::ZERO));
         let window = sim_end.saturating_sub(start);
         let travel = self.travel.saturating_sub(base_travel);
@@ -576,30 +437,10 @@ impl SciRingSystem {
         } else {
             (travel.as_ps() as f64 / window.as_ps() as f64).min(1.0)
         };
-        let report = SimReport {
-            protocol: "sci-linked-list".into(),
-            nodes: self.cfg.nodes(),
-            proc_cycle: self.cfg.proc_cycle,
-            sim_end,
-            proc_util,
-            ring_util,
-            // SCI messages are point-to-point packets on one ring; the
-            // request/data split of the slotted-ring backends does not
-            // apply, so all travel is reported as probe traffic.
-            probe_util: ring_util,
-            block_util: 0.0,
-            miss_latency: self.miss_lat,
-            miss_histogram: self.miss_hist.clone(),
-            upgrade_latency: self.upg_lat,
-            class_latencies: self.class_lat.clone(),
-            events: self.events,
-            retries: 0,
-            per_node,
-        };
-        if ringsim_obs::global_metrics_enabled() {
-            ringsim_obs::global_record(&report.metrics_summary());
-        }
-        report
+        // SCI messages are point-to-point packets on one ring; the
+        // request/data split of the slotted-ring backends does not apply,
+        // so all travel is reported as probe traffic.
+        self.procs.report("sci-linked-list".into(), ring_util, ring_util, 0.0, 0)
     }
 }
 

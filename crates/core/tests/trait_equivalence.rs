@@ -73,3 +73,36 @@ fn hier_backend_matches_direct_calls() {
     let direct = sim.sim_report(&rep);
     assert_identical(SimKind::Hier, &direct);
 }
+
+#[test]
+fn every_backend_issues_the_same_reference_mix() {
+    // One processor front-end issues every backend's references, so the
+    // measured mix depends on the workload alone, never on the
+    // interconnect.
+    let backends = [
+        (SimKind::Ring500, ProtocolKind::Snooping),
+        (SimKind::Ring500, ProtocolKind::Directory),
+        (SimKind::Bus50, ProtocolKind::Snooping),
+        (SimKind::Bus50Mesi, ProtocolKind::Snooping),
+        (SimKind::Bus50Dragon, ProtocolKind::Snooping),
+        (SimKind::Sci500, ProtocolKind::Snooping),
+    ];
+    for procs in [8, 16] {
+        let mut mixes = Vec::new();
+        for (kind, protocol) in backends {
+            let workload = Workload::new(WorkloadSpec::demo(procs).with_refs(3_000)).expect("wl");
+            let spec = SimSpec::new(workload).with_protocol(protocol);
+            let e = kind.build(&spec).expect("build").run(&RunOptions::default()).report.events;
+            let mix = [e.private_reads, e.private_writes, e.shared_reads, e.shared_writes];
+            assert_eq!(mix.iter().sum::<u64>(), procs as u64 * 3_000, "{}", kind.name());
+            mixes.push((kind.name(), protocol, mix));
+        }
+        let (_, _, first) = mixes[0];
+        for (name, protocol, mix) in &mixes {
+            assert_eq!(*mix, first, "{name} ({protocol:?}) at {procs} processors");
+        }
+        if procs == 8 {
+            assert_eq!(first, [11_585, 2_860, 6_887, 2_668], "reference mix at 8 processors");
+        }
+    }
+}

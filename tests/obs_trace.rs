@@ -2,7 +2,9 @@
 //! metrics: the trace must *explain* the numbers in the report, and
 //! attaching telemetry must not change any simulation result.
 
-use ringsim::core::{BusSystem, BusSystemConfig, RingSystem, SystemConfig};
+use ringsim::core::{
+    BusSystem, BusSystemConfig, RingSystem, RunOptions, SimKind, SimSpec, SystemConfig,
+};
 use ringsim::obs::{json, ObsConfig, Recorder};
 use ringsim::proto::ProtocolKind;
 use ringsim::trace::{Workload, WorkloadSpec};
@@ -122,4 +124,26 @@ fn telemetry_does_not_change_results() {
     traced.attach_obs(ObsConfig::default());
     let traced_report = traced.run();
     assert_eq!(plain, traced_report);
+}
+
+#[test]
+fn txn_spans_name_their_op_on_every_backend() {
+    // Every backend opens its spans through the shared processor
+    // front-end, so a span's `op` always says what the processor asked for.
+    for kind in [SimKind::Ring500, SimKind::Bus50, SimKind::Sci500] {
+        let spec = SimSpec::new(workload(4, 2_000));
+        let mut sim = kind.build(&spec).unwrap();
+        let rec = sim.run(&RunOptions::new().with_obs(big_trace())).obs.unwrap();
+        let mut spans = 0;
+        for e in rec.trace.events().filter(|e| e.cat == "txn") {
+            let op = e.args.iter().find(|(k, _)| *k == "op").map(|(_, v)| v.as_str());
+            assert!(
+                matches!(op, Some("read" | "write" | "upgrade")),
+                "{}: txn span with op {op:?}",
+                kind.name()
+            );
+            spans += 1;
+        }
+        assert!(spans > 0, "{}: no txn spans", kind.name());
+    }
 }
