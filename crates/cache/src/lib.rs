@@ -126,10 +126,130 @@ impl Default for CacheConfig {
     }
 }
 
+/// A valid line in the serialised form of a [`Cache`], which holds one of
+/// these or `null` per line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct Line {
     tag: u64,
     state: LineState,
+}
+
+/// Line-word state codes. A word is `tag << 2 | state`, so the all-zero
+/// word of a freshly allocated array is an empty (`Inv`) line.
+const WORD_RS: u64 = 1;
+const WORD_WE: u64 = 2;
+const WORD_STATE: u64 = 3;
+
+/// Tags below this bound fit a 32-bit word.
+const NARROW_TAG_LIMIT: u64 = 1 << 30;
+/// Tags below this bound fit a 64-bit word.
+const WIDE_TAG_LIMIT: u64 = 1 << 62;
+
+#[inline]
+fn encode(tag: u64, state: LineState) -> u64 {
+    match state {
+        LineState::Inv => 0,
+        LineState::Rs => tag << 2 | WORD_RS,
+        LineState::We => tag << 2 | WORD_WE,
+    }
+}
+
+#[inline]
+fn word_state(word: u64) -> LineState {
+    match word & WORD_STATE {
+        WORD_RS => LineState::Rs,
+        WORD_WE => LineState::We,
+        _ => LineState::Inv,
+    }
+}
+
+/// The line array, one word per line.
+///
+/// A paper cache (8192 lines) packs into 32 KiB this way, so the caches
+/// of 64 processors (2 MiB) fit a host's L2. Tags that need more than 30
+/// bits, which only arbitrary trace addresses produce, switch the array
+/// once to 64-bit words.
+#[derive(Debug, Clone)]
+enum Lines {
+    /// Every stored tag is below [`NARROW_TAG_LIMIT`].
+    Narrow(Vec<u32>),
+    /// Any tag below [`WIDE_TAG_LIMIT`].
+    Wide(Vec<u64>),
+}
+
+impl Lines {
+    #[inline]
+    fn word(&self, idx: usize) -> u64 {
+        match self {
+            Lines::Narrow(words) => u64::from(words[idx]),
+            Lines::Wide(words) => words[idx],
+        }
+    }
+
+    /// Stores `word` at `idx`; a narrow array must have been widened for
+    /// a tag of [`NARROW_TAG_LIMIT`] or more.
+    #[inline]
+    fn set(&mut self, idx: usize, word: u64) {
+        match self {
+            Lines::Narrow(words) => {
+                words[idx] = u32::try_from(word).expect("a wide tag widens the lines first");
+            }
+            Lines::Wide(words) => words[idx] = word,
+        }
+    }
+
+    fn widen(&mut self) {
+        if let Lines::Narrow(words) = self {
+            *self = Lines::Wide(words.iter().map(|&w| u64::from(w)).collect());
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Lines::Narrow(words) => words.len(),
+            Lines::Wide(words) => words.len(),
+        }
+    }
+
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.len()).map(|idx| self.word(idx))
+    }
+}
+
+/// Equal contents compare equal whether or not either side was widened.
+impl PartialEq for Lines {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.words().eq(other.words())
+    }
+}
+
+impl Serialize for Lines {
+    fn to_value(&self) -> serde::Value {
+        let lines: Vec<Option<Line>> = self
+            .words()
+            .map(|w| (w != 0).then(|| Line { tag: w >> 2, state: word_state(w) }))
+            .collect();
+        lines.to_value()
+    }
+}
+
+impl Deserialize for Lines {
+    fn from_value(v: &serde::Value) -> Option<Self> {
+        let lines = Vec::<Option<Line>>::from_value(v)?;
+        let mut out = Lines::Narrow(vec![0; lines.len()]);
+        for (idx, line) in lines.iter().enumerate() {
+            if let Some(Line { tag, state }) = *line {
+                if tag >= WIDE_TAG_LIMIT || !state.is_valid() {
+                    return None;
+                }
+                if tag >= NARROW_TAG_LIMIT {
+                    out.widen();
+                }
+                out.set(idx, encode(tag, state));
+            }
+        }
+        Some(out)
+    }
 }
 
 /// Per-cache event counters.
@@ -167,7 +287,7 @@ impl CacheStats {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Option<Line>>,
+    lines: Lines,
     stats: CacheStats,
 }
 
@@ -180,7 +300,7 @@ impl Cache {
     /// [`CacheConfig::validate`]).
     pub fn new(cfg: CacheConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let lines = vec![None; cfg.lines() as usize];
+        let lines = Lines::Narrow(vec![0; cfg.lines() as usize]);
         Ok(Self { cfg, lines, stats: CacheStats::default() })
     }
 
@@ -196,6 +316,7 @@ impl Cache {
         self.stats
     }
 
+    #[inline]
     fn slot(&self, block: BlockAddr) -> (usize, u64) {
         // Both sizes are validated powers of two, so the line count is one
         // as well: index and tag are a mask and a shift, avoiding two u64
@@ -207,14 +328,23 @@ impl Cache {
         (idx, tag)
     }
 
+    /// The line word of `block`'s index when it holds `block`, else 0.
+    #[inline]
+    fn resident_word(&self, block: BlockAddr) -> (usize, u64) {
+        let (idx, tag) = self.slot(block);
+        let word = self.lines.word(idx);
+        (idx, if word != 0 && word >> 2 == tag { word } else { 0 })
+    }
+
+    fn block_of(&self, idx: usize, word: u64) -> BlockAddr {
+        BlockAddr::new((word >> 2) * self.cfg.lines() + idx as u64)
+    }
+
     /// Current state of `block` in this cache (`Inv` when absent).
     #[must_use]
+    #[inline]
     pub fn state_of(&self, block: BlockAddr) -> LineState {
-        let (idx, tag) = self.slot(block);
-        match self.lines[idx] {
-            Some(line) if line.tag == tag => line.state,
-            _ => LineState::Inv,
-        }
+        word_state(self.resident_word(block).1)
     }
 
     /// Classifies an access *without* changing cache contents, and updates
@@ -222,6 +352,7 @@ impl Cache {
     ///
     /// The caller performs the resulting coherence transaction (if any) and
     /// then calls [`Cache::fill`] or [`Cache::promote`].
+    #[inline]
     pub fn classify(&mut self, block: BlockAddr, kind: AccessKind) -> AccessClass {
         let class = self.peek(block, kind);
         match class {
@@ -236,6 +367,7 @@ impl Cache {
     /// by lookahead code paths that only want to know whether an access
     /// would stall.
     #[must_use]
+    #[inline]
     pub fn peek(&self, block: BlockAddr, kind: AccessKind) -> AccessClass {
         match (self.state_of(block), kind) {
             (LineState::Inv, _) => AccessClass::Miss,
@@ -251,22 +383,27 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `state` is `Inv` (filling a line as invalid is a protocol
-    /// bug).
+    /// bug), or if the block's tag needs more than 62 bits, which takes a
+    /// block number of 2^62 or more in a cache of fewer than four lines.
+    #[inline]
     pub fn fill(&mut self, block: BlockAddr, state: LineState) -> Option<(BlockAddr, LineState)> {
         assert!(state.is_valid(), "cannot fill a line in Inv state");
         let (idx, tag) = self.slot(block);
-        let lines = self.cfg.lines();
-        let victim = match self.lines[idx] {
-            Some(line) if line.tag != tag => {
-                let victim_block = BlockAddr::new(line.tag * lines + idx as u64);
-                if line.state.is_dirty() {
-                    self.stats.writebacks += 1;
-                }
-                Some((victim_block, line.state))
+        if tag >= NARROW_TAG_LIMIT {
+            assert!(tag < WIDE_TAG_LIMIT, "{block}: tag does not fit a 64-bit line word");
+            self.lines.widen();
+        }
+        let old = self.lines.word(idx);
+        let victim = if old != 0 && old >> 2 != tag {
+            let victim_state = word_state(old);
+            if victim_state.is_dirty() {
+                self.stats.writebacks += 1;
             }
-            _ => None,
+            Some((self.block_of(idx, old), victim_state))
+        } else {
+            None
         };
-        self.lines[idx] = Some(Line { tag, state });
+        self.lines.set(idx, encode(tag, state));
         victim
     }
 
@@ -276,71 +413,65 @@ impl Cache {
     /// longer present — a remote write may have invalidated it while the
     /// upgrade was in flight, in which case the access must be retried as a
     /// write miss.
+    #[inline]
     pub fn promote(&mut self, block: BlockAddr) -> bool {
-        let (idx, tag) = self.slot(block);
-        match &mut self.lines[idx] {
-            Some(line) if line.tag == tag && line.state.is_valid() => {
-                line.state = LineState::We;
-                true
-            }
-            _ => false,
+        let (idx, word) = self.resident_word(block);
+        if word == 0 {
+            return false;
         }
+        self.lines.set(idx, word & !WORD_STATE | WORD_WE);
+        true
     }
 
     /// Invalidates `block` if present (remote write miss / invalidation
     /// observed). Returns the state the line was in.
+    #[inline]
     pub fn snoop_invalidate(&mut self, block: BlockAddr) -> LineState {
-        let (idx, tag) = self.slot(block);
-        match self.lines[idx] {
-            Some(line) if line.tag == tag && line.state.is_valid() => {
-                self.lines[idx] = None;
-                self.stats.snoop_invalidations += 1;
-                line.state
-            }
-            _ => LineState::Inv,
+        let (idx, word) = self.resident_word(block);
+        if word != 0 {
+            self.lines.set(idx, 0);
+            self.stats.snoop_invalidations += 1;
         }
+        word_state(word)
     }
 
     /// Downgrades a `We` line to `Rs` (remote read miss observed by the
     /// dirty node). Returns `true` when the line was indeed `We`.
+    #[inline]
     pub fn snoop_downgrade(&mut self, block: BlockAddr) -> bool {
-        let (idx, tag) = self.slot(block);
-        match &mut self.lines[idx] {
-            Some(line) if line.tag == tag && line.state.is_dirty() => {
-                line.state = LineState::Rs;
-                self.stats.snoop_downgrades += 1;
-                true
-            }
-            _ => false,
+        let (idx, word) = self.resident_word(block);
+        if !word_state(word).is_dirty() {
+            return false;
         }
+        self.lines.set(idx, word & !WORD_STATE | WORD_RS);
+        self.stats.snoop_downgrades += 1;
+        true
     }
 
     /// Evicts `block` if present without recording a write-back (used by
     /// tests and by protocol paths that account for the write-back
     /// themselves). Returns the prior state.
     pub fn evict(&mut self, block: BlockAddr) -> LineState {
-        let (idx, tag) = self.slot(block);
-        match self.lines[idx] {
-            Some(line) if line.tag == tag => {
-                self.lines[idx] = None;
-                line.state
-            }
-            _ => LineState::Inv,
+        let (idx, word) = self.resident_word(block);
+        if word != 0 {
+            self.lines.set(idx, 0);
         }
+        word_state(word)
     }
 
     /// Iterates over all valid blocks currently cached, with their states.
     pub fn resident_blocks(&self) -> impl Iterator<Item = (BlockAddr, LineState)> + '_ {
-        let lines = self.cfg.lines();
-        self.lines.iter().enumerate().filter_map(move |(idx, line)| {
-            line.map(|l| (BlockAddr::new(l.tag * lines + idx as u64), l.state))
-        })
+        self.lines
+            .words()
+            .enumerate()
+            .filter(|&(_, word)| word != 0)
+            .map(|(idx, word)| (self.block_of(idx, word), word_state(word)))
     }
 
     /// Number of valid lines.
     #[must_use]
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().flatten().filter(|l| l.state.is_valid()).count()
+        self.lines.words().filter(|&word| word != 0).count()
     }
 }
 
@@ -453,6 +584,46 @@ mod tests {
             vec![(BlockAddr::new(1), LineState::Rs), (BlockAddr::new(2), LineState::We)]
         );
         assert_eq!(c.valid_lines(), 2);
+    }
+
+    #[test]
+    fn paper_lines_are_four_bytes_and_wide_tags_widen_in_place() {
+        let mut c = Cache::new(CacheConfig::paper_default()).unwrap();
+        let Lines::Narrow(words) = &c.lines else { panic!("a new cache starts narrow") };
+        assert_eq!(std::mem::size_of_val(words.as_slice()), 4 * 8192);
+        // Narrow lines, filled out of index order, one of them dirty.
+        let narrow = [BlockAddr::new(8192 * 3 + 9), BlockAddr::new(5), BlockAddr::new(8192 + 70)];
+        c.fill(narrow[0], LineState::We);
+        c.fill(narrow[1], LineState::Rs);
+        c.fill(narrow[2], LineState::Rs);
+        let before: Vec<_> = c.resident_blocks().collect();
+        // Tag 2^30 needs a 64-bit word.
+        let wide = BlockAddr::new((1 << 43) + 70);
+        assert_eq!(c.fill(wide, LineState::We), Some((narrow[2], LineState::Rs)));
+        assert!(matches!(c.lines, Lines::Wide(_)));
+        let expect: Vec<_> = before
+            .iter()
+            .map(|&(b, s)| if b == narrow[2] { (wide, LineState::We) } else { (b, s) })
+            .collect();
+        assert_eq!(c.resident_blocks().collect::<Vec<_>>(), expect);
+        assert_eq!(c.state_of(narrow[0]), LineState::We);
+        assert!(c.snoop_downgrade(wide));
+        assert_eq!(c.state_of(wide), LineState::Rs);
+        assert_eq!(c.snoop_invalidate(wide), LineState::Rs);
+        assert_eq!(c.valid_lines(), 2);
+    }
+
+    #[test]
+    fn serialised_shape_round_trips_across_widths() {
+        use serde::{Deserialize, Serialize};
+        let mut c = small();
+        c.fill(BlockAddr::new(3), LineState::We);
+        let narrow = c.to_value();
+        assert_eq!(Cache::from_value(&narrow), Some(c.clone()));
+        c.fill(BlockAddr::new(1 << 40 | 4), LineState::Rs);
+        let back = Cache::from_value(&c.to_value()).unwrap();
+        assert!(matches!(back.lines, Lines::Wide(_)));
+        assert_eq!(back, c);
     }
 
     #[test]

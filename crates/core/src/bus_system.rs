@@ -16,9 +16,8 @@ use ringsim_obs::{Obs, ObsConfig, Recorder};
 use ringsim_proto::guarded;
 use ringsim_proto::transitions::{BusOp, DragonAction, MesiAction};
 use ringsim_trace::{AddressSpace, Workload};
-use ringsim_types::{AccessKind, BlockAddr, ConfigError, NodeId, Region, Time};
+use ringsim_types::{AccessKind, BlockAddr, ConfigError, FnvMap, FnvSet, NodeId, Region, Time};
 
-use crate::collections::FnvMap;
 use crate::proc::{Issue, MissClass, Processors, TxnKind, PROC_QUANTUM};
 use crate::report::SimReport;
 use crate::ring_system::dirty_on_path;
@@ -172,7 +171,7 @@ struct BusNode {
     /// MESI/Dragon: blocks this node holds clean-exclusive (E) — the cache
     /// line is `We`, but the data was never written and memory is still up
     /// to date. Always empty under MSI.
-    excl: FnvMap<u64, ()>,
+    excl: FnvSet<u64>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,7 +253,7 @@ impl BusSystem {
         let bus = Bus::new(cfg.bus)?;
         let nodes = (0..cfg.nodes())
             .map(|_| {
-                Ok(BusNode { cache: Cache::new(cfg.cache)?, txn: None, excl: FnvMap::default() })
+                Ok(BusNode { cache: Cache::new(cfg.cache)?, txn: None, excl: FnvSet::default() })
             })
             .collect::<Result<Vec<_>, ConfigError>>()?;
         Ok(Self {
@@ -364,7 +363,7 @@ impl BusSystem {
                     // snoops a cache supply instead of memory.
                     if self.cfg.protocol != BusProtocol::Msi
                         && r.kind == AccessKind::Write
-                        && self.nodes[i].excl.remove(&block.raw()).is_some()
+                        && self.nodes[i].excl.remove(&block.raw())
                         && r.region == Region::Shared
                     {
                         let silent = match self.cfg.protocol {
@@ -574,7 +573,7 @@ impl BusSystem {
             } else {
                 // MESI/Dragon: a private read miss fills clean-exclusive,
                 // so the (common) subsequent write promotes silently.
-                self.nodes[i].excl.insert(block.raw(), ());
+                self.nodes[i].excl.insert(block.raw());
                 LineState::We
             };
             if let Some((victim, vstate)) = self.nodes[i].cache.fill(block, state) {
@@ -644,7 +643,7 @@ impl BusSystem {
                 let op = if is_write { BusOp::WriteMiss } else { BusOp::ReadMiss };
                 match guarded::mesi_action(op, !others.is_empty(), owner.is_some(), None) {
                     MesiAction::FillExclusive => {
-                        self.nodes[i].excl.insert(block.raw(), ());
+                        self.nodes[i].excl.insert(block.raw());
                         fill_state = LineState::We;
                     }
                     MesiAction::FillShared => self.downgrade_exclusive(block, &others),
@@ -672,7 +671,7 @@ impl BusSystem {
                 let op = if is_write { BusOp::WriteMiss } else { BusOp::ReadMiss };
                 match guarded::dragon_action(op, !others.is_empty(), owner.is_some(), None) {
                     DragonAction::FillExclusive => {
-                        self.nodes[i].excl.insert(block.raw(), ());
+                        self.nodes[i].excl.insert(block.raw());
                         fill_state = LineState::We;
                     }
                     DragonAction::FillShared => self.downgrade_exclusive(block, &others),
@@ -772,7 +771,7 @@ impl BusSystem {
     ) {
         // A clean-exclusive victim is `We` in the cache but was never
         // written: no write-back. (The marker map is empty under MSI.)
-        let was_excl = self.nodes[me.index()].excl.remove(&victim.raw()).is_some();
+        let was_excl = self.nodes[me.index()].excl.remove(&victim.raw());
         let mut dirty = vstate.is_dirty() && !was_excl;
         if let Some(v) = self.blocks.get_mut(&victim.raw()) {
             v.present &= !(1u64 << me.index());

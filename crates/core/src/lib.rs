@@ -45,12 +45,13 @@ mod simulator;
 
 pub use access_net::{AccessNetConfig, AccessNetReport, InsertionNetSim, SlottedNetSim};
 pub use bus_system::{BusProtocol, BusSystem, BusSystemConfig};
-pub use collections::{FnvBuildHasher, FnvHasher, FnvMap, RingBuf, RingBufIter, Slab};
+pub use collections::{RingBuf, RingBufIter, Slab};
 pub use config::{SystemConfig, SystemConfigBuilder};
 pub use engine::EventQueue;
 pub use hier_net::{HierNetConfig, HierNetReport, HierNetSim};
 pub use report::{summarize_nodes, ClassLatencies, NodeMeasure, NodeSummary, SimReport};
 pub use ring_system::RingSystem;
+pub use ringsim_types::{FnvBuildHasher, FnvHasher, FnvMap, FnvSet};
 pub use sanitize::{sanitize_enabled, set_sanitize_mode, SanitizeMode};
 pub use sci_system::{SciRingSystem, SciSystemConfig};
 pub use simulator::{

@@ -55,7 +55,7 @@
 //!   "poisoned": the blocked load still completes (it is ordered before the
 //!   write) but the line is not cached.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use ringsim_cache::{AccessClass, Cache, LineState};
 use ringsim_obs::{Obs, ObsConfig, Recorder};
@@ -63,9 +63,11 @@ use ringsim_proto::transitions::{self, DirAction, DirRequest, HomeSnoopAction, S
 use ringsim_proto::{Directory, HomeMemory, MsgClass, MsgKind, ProtocolKind, RingMessage};
 use ringsim_ring::{RingLayout, SlotId, SlotKind, SlotRing};
 use ringsim_trace::{AddressSpace, Workload};
-use ringsim_types::{BlockAddr, CoherenceEvents, ConfigError, NodeId, Region, Time};
+use ringsim_types::{
+    BlockAddr, CoherenceEvents, ConfigError, FnvMap, FnvSet, NodeId, Region, Time,
+};
 
-use crate::collections::{FnvMap, RingBuf};
+use crate::collections::RingBuf;
 use crate::config::SystemConfig;
 use crate::proc::{Issue, MissClass, Processors, TxnKind};
 use crate::report::SimReport;
@@ -98,7 +100,7 @@ struct Node {
     block_q: RingBuf<RingMessage>,
     /// Dirty blocks evicted but not yet acknowledged by the home
     /// (directory mode): forwards are served from here.
-    wb_buffer: HashSet<u64>,
+    wb_buffer: FnvSet<u64>,
     /// Forwards that arrived while this node's own fill was in flight.
     pending_fwds: Vec<RingMessage>,
 }
@@ -281,7 +283,7 @@ impl RingSystem {
                     txn: None,
                     probe_q: RingBuf::new(),
                     block_q: RingBuf::new(),
-                    wb_buffer: HashSet::new(),
+                    wb_buffer: FnvSet::default(),
                     pending_fwds: Vec::new(),
                 })
             })

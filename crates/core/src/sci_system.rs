@@ -30,9 +30,8 @@ use ringsim_proto::sci::SciEngine;
 use ringsim_proto::table1::TraversalReport;
 use ringsim_ring::RingConfig;
 use ringsim_trace::Workload;
-use ringsim_types::{AccessKind, BlockAddr, ConfigError, MemRef, NodeId, Region, Time};
+use ringsim_types::{AccessKind, BlockAddr, ConfigError, FnvMap, MemRef, NodeId, Region, Time};
 
-use crate::collections::FnvMap;
 use crate::proc::{Issue, MissClass, Processors, TxnKind, PROC_QUANTUM};
 use crate::report::SimReport;
 use crate::sanitize;

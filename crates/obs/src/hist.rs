@@ -113,6 +113,7 @@ impl LatencyHistogram {
     }
 
     /// Records a [`Time`] duration as a nanosecond sample.
+    #[inline]
     pub fn record_time(&mut self, t: Time) {
         self.record(t.as_ns_f64());
     }

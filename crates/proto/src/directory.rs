@@ -1,8 +1,6 @@
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
-use ringsim_types::{BlockAddr, NodeId};
+use ringsim_types::{BlockAddr, FnvMap, NodeId};
 
 /// One full-map directory entry: presence bits and a dirty bit (paper §3.2).
 ///
@@ -84,13 +82,13 @@ impl DirEntry {
 /// assert_eq!(dir.entry(b).owner, Some(NodeId::new(4)));
 /// assert!(!dir.entry(b).has_sharer(NodeId::new(9)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Directory {
     nodes: usize,
-    entries: HashMap<u64, DirEntry>,
+    entries: FnvMap<u64, DirEntry>,
     /// Blocks with a transaction in flight at the home; fields are managed
     /// by the timed simulator.
-    busy: HashMap<u64, bool>,
+    busy: FnvMap<u64, bool>,
 }
 
 impl Directory {
@@ -102,16 +100,18 @@ impl Directory {
     #[must_use]
     pub fn new(nodes: usize) -> Self {
         assert!((1..=64).contains(&nodes), "full map supports 1..=64 nodes");
-        Self { nodes, entries: HashMap::new(), busy: HashMap::new() }
+        Self { nodes, entries: FnvMap::default(), busy: FnvMap::default() }
     }
 
     /// The entry for `block` (all-clear if never cached).
     #[must_use]
+    #[inline]
     pub fn entry(&self, block: BlockAddr) -> DirEntry {
         self.entries.get(&block.raw()).copied().unwrap_or_default()
     }
 
     /// Adds `node` to the presence bits.
+    #[inline]
     pub fn add_sharer(&mut self, block: BlockAddr, node: NodeId) {
         assert!(node.index() < self.nodes, "{node} out of range");
         let e = self.entries.entry(block.raw()).or_default();
@@ -120,6 +120,7 @@ impl Directory {
 
     /// Removes `node` from the presence bits; clears the owner if `node`
     /// owned the block. Returns the updated entry.
+    #[inline]
     pub fn remove_sharer(&mut self, block: BlockAddr, node: NodeId) -> DirEntry {
         let e = self.entries.entry(block.raw()).or_default();
         e.sharers &= !DirEntry::mask(node);
@@ -135,6 +136,7 @@ impl Directory {
 
     /// Makes `node` the write-exclusive owner (presence bits collapse to
     /// that node).
+    #[inline]
     pub fn set_owner(&mut self, block: BlockAddr, node: NodeId) {
         assert!(node.index() < self.nodes, "{node} out of range");
         let e = self.entries.entry(block.raw()).or_default();
@@ -144,6 +146,7 @@ impl Directory {
 
     /// Clears the dirty state after a downgrade (`keep` nodes remain
     /// sharers).
+    #[inline]
     pub fn clear_owner(&mut self, block: BlockAddr) {
         if let Some(e) = self.entries.get_mut(&block.raw()) {
             e.owner = None;
@@ -152,6 +155,7 @@ impl Directory {
 
     /// Marks the home-side entry busy. Returns `false` if it was already
     /// busy (the caller must queue the request).
+    #[inline]
     pub fn try_lock(&mut self, block: BlockAddr) -> bool {
         let b = self.busy.entry(block.raw()).or_insert(false);
         if *b {
@@ -164,6 +168,7 @@ impl Directory {
 
     /// Whether the entry is busy.
     #[must_use]
+    #[inline]
     pub fn is_locked(&self, block: BlockAddr) -> bool {
         self.busy.get(&block.raw()).copied().unwrap_or(false)
     }
@@ -174,6 +179,7 @@ impl Directory {
     ///
     /// Panics if the entry was not busy (lock/unlock mismatch is a protocol
     /// bug).
+    #[inline]
     pub fn unlock(&mut self, block: BlockAddr) {
         let b = self.busy.remove(&block.raw());
         assert_eq!(b, Some(true), "unlock of non-busy entry {block}");

@@ -1,8 +1,4 @@
-use std::collections::HashSet;
-
-use serde::{Deserialize, Serialize};
-
-use ringsim_types::BlockAddr;
+use ringsim_types::{BlockAddr, FnvSet};
 
 /// Memory-side state of the snooping protocol: one dirty bit per block
 /// (paper §3.1).
@@ -26,9 +22,9 @@ use ringsim_types::BlockAddr;
 /// mem.clear_dirty(b);
 /// assert!(!mem.is_dirty(b));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HomeMemory {
-    dirty: HashSet<u64>,
+    dirty: FnvSet<u64>,
 }
 
 impl HomeMemory {
@@ -40,16 +36,19 @@ impl HomeMemory {
 
     /// Whether the block's dirty bit is set.
     #[must_use]
+    #[inline]
     pub fn is_dirty(&self, block: BlockAddr) -> bool {
         self.dirty.contains(&block.raw())
     }
 
     /// Sets the dirty bit (a cache took the block write-exclusive).
+    #[inline]
     pub fn set_dirty(&mut self, block: BlockAddr) {
         self.dirty.insert(block.raw());
     }
 
     /// Clears the dirty bit (a write-back or downgrade refreshed memory).
+    #[inline]
     pub fn clear_dirty(&mut self, block: BlockAddr) {
         self.dirty.remove(&block.raw());
     }

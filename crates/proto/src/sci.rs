@@ -20,11 +20,9 @@
 //!
 //! [`LinkedListAccountant`]: crate::table1::LinkedListAccountant
 
-use std::collections::HashMap;
-
 use ringsim_cache::{AccessClass, Cache, CacheConfig, LineState};
 use ringsim_ring::RingLayout;
-use ringsim_types::{AccessKind, BlockAddr, ConfigError, MemRef, NodeId, Region};
+use ringsim_types::{AccessKind, BlockAddr, ConfigError, FnvMap, MemRef, NodeId, Region};
 
 use crate::guarded::{sci_action, FireCounts};
 use crate::table1::TraversalReport;
@@ -129,7 +127,7 @@ pub struct SciEngine<H> {
     layout: RingLayout,
     home_of: H,
     caches: Vec<Cache>,
-    entries: HashMap<u64, SciList>,
+    entries: FnvMap<u64, SciList>,
     report: TraversalReport,
 }
 
@@ -151,7 +149,7 @@ impl<H: Fn(BlockAddr) -> NodeId> SciEngine<H> {
             layout,
             home_of,
             caches,
-            entries: HashMap::new(),
+            entries: FnvMap::default(),
             report: TraversalReport::default(),
         })
     }

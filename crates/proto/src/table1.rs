@@ -16,13 +16,11 @@
 //!   list order, which costs up to *n* traversals when the list order
 //!   conflicts with the ring direction.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use ringsim_cache::{AccessClass, Cache, CacheConfig, LineState};
 use ringsim_ring::RingLayout;
-use ringsim_types::{AccessKind, BlockAddr, ConfigError, MemRef, NodeId, Region};
+use ringsim_types::{AccessKind, BlockAddr, ConfigError, FnvMap, MemRef, NodeId, Region};
 
 use crate::directory::DirEntry;
 
@@ -107,7 +105,7 @@ pub struct FullMapAccountant<H> {
     layout: RingLayout,
     home_of: H,
     caches: Vec<Cache>,
-    entries: HashMap<u64, DirEntry>,
+    entries: FnvMap<u64, DirEntry>,
     report: TraversalReport,
 }
 
@@ -130,7 +128,7 @@ impl<H: Fn(BlockAddr) -> NodeId> FullMapAccountant<H> {
             layout,
             home_of,
             caches,
-            entries: HashMap::new(),
+            entries: FnvMap::default(),
             report: TraversalReport::default(),
         })
     }
@@ -255,7 +253,7 @@ pub struct LinkedListAccountant<H> {
     layout: RingLayout,
     home_of: H,
     caches: Vec<Cache>,
-    entries: HashMap<u64, ListEntry>,
+    entries: FnvMap<u64, ListEntry>,
     report: TraversalReport,
 }
 
@@ -276,7 +274,7 @@ impl<H: Fn(BlockAddr) -> NodeId> LinkedListAccountant<H> {
             layout,
             home_of,
             caches,
-            entries: HashMap::new(),
+            entries: FnvMap::default(),
             report: TraversalReport::default(),
         })
     }

@@ -209,6 +209,7 @@ impl RingLayout {
     ///
     /// Panics if `n` is not a node of this ring.
     #[must_use]
+    #[inline]
     pub fn node_stage(&self, n: NodeId) -> usize {
         assert!(n.index() < self.nodes, "{n} not on this ring");
         n.index() * self.stages_per_node
@@ -217,9 +218,22 @@ impl RingLayout {
     /// Which slot's header sits at node `n`'s interface at ring cycle
     /// `cycle`, if any.
     #[must_use]
+    #[inline]
     pub fn arrival_at(&self, n: NodeId, cycle: u64) -> Option<SlotId> {
-        let pos = self.node_stage(n);
-        let stage = (pos + self.stages - (cycle % self.stages as u64) as usize) % self.stages;
+        self.arrival_at_phase(n, (cycle % self.stages as u64) as usize)
+    }
+
+    /// [`RingLayout::arrival_at`] for a cycle whose phase
+    /// (`cycle % stages()`) the caller already tracks: one conditional
+    /// subtract instead of two divisions.
+    #[inline]
+    pub(crate) fn arrival_at_phase(&self, n: NodeId, phase: usize) -> Option<SlotId> {
+        debug_assert!(phase < self.stages);
+        // Both terms are below `stages`, so the sum is below twice that.
+        let mut stage = self.node_stage(n) + self.stages - phase;
+        if stage >= self.stages {
+            stage -= self.stages;
+        }
         self.header_at_stage[stage]
     }
 
@@ -248,6 +262,7 @@ impl RingLayout {
     /// assert_eq!(layout.cycles_until(slot, node, 4), 29);
     /// ```
     #[must_use]
+    #[inline]
     pub fn cycles_until(&self, slot: SlotId, n: NodeId, cycle: u64) -> u64 {
         let stages = self.stages as u64;
         let header = (self.slots[slot.0].start_stage as u64 + cycle % stages) % stages;
@@ -287,6 +302,7 @@ impl RingLayout {
     /// revolution (`stages()`) when `from == to` (e.g. a snooping probe that
     /// is removed by its requester).
     #[must_use]
+    #[inline]
     pub fn stage_distance(&self, from: NodeId, to: NodeId) -> usize {
         let d = (self.node_stage(to) + self.stages - self.node_stage(from)) % self.stages;
         if d == 0 {

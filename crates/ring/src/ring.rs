@@ -123,6 +123,8 @@ pub struct SlotRing<M> {
     layout: RingLayout,
     slots: Vec<SlotState<M>>,
     cycle: u64,
+    /// `cycle % layout.stages()`, wrapped by `advance`.
+    phase: usize,
     occupied_probe: usize,
     occupied_block: usize,
     stats: RingStats,
@@ -143,6 +145,7 @@ impl<M> SlotRing<M> {
             layout,
             slots,
             cycle: 0,
+            phase: 0,
             occupied_probe: 0,
             occupied_block: 0,
             stats: RingStats::default(),
@@ -207,8 +210,9 @@ impl<M> SlotRing<M> {
 
     /// Which slot header (if any) is at node `n`'s interface this cycle.
     #[must_use]
+    #[inline]
     pub fn arrival(&self, n: NodeId) -> Option<SlotId> {
-        self.layout.arrival_at(n, self.cycle)
+        self.layout.arrival_at_phase(n, self.phase)
     }
 
     /// The message currently in slot `id`, if any.
@@ -304,6 +308,10 @@ impl<M> SlotRing<M> {
         self.stats.occupied_block_cycles += self.occupied_block as u64;
         self.stats.occupied_slot_cycles += (self.occupied_probe + self.occupied_block) as u64;
         self.cycle += 1;
+        self.phase += 1;
+        if self.phase == self.layout.stages() {
+            self.phase = 0;
+        }
     }
 
     /// Probe-slot count (all parities).
@@ -343,6 +351,19 @@ mod tests {
             r.advance();
         }
         panic!("no matching slot within one revolution");
+    }
+
+    #[test]
+    fn tracked_phase_matches_layout_arrivals() {
+        let mut r = ring();
+        let stages = r.layout().stages() as u64;
+        for _ in 0..3 * stages + 7 {
+            for n in 0..r.layout().nodes() {
+                let node = NodeId::new(n);
+                assert_eq!(r.arrival(node), r.layout().arrival_at(node, r.cycle()));
+            }
+            r.advance();
+        }
     }
 
     #[test]

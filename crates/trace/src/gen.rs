@@ -203,6 +203,7 @@ impl NodeStream {
     }
 
     /// Generates (or replays) the next data reference.
+    #[inline]
     pub fn next_ref(&mut self) -> MemRef {
         self.emitted += 1;
         match &mut self.inner {

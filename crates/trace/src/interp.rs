@@ -1,7 +1,7 @@
-use std::collections::HashMap;
-
 use ringsim_cache::{AccessClass, Cache, CacheConfig, LineState};
-use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, MemRef, NodeId, Region};
+use ringsim_types::{
+    AccessKind, BlockAddr, CoherenceEvents, ConfigError, FnvMap, MemRef, NodeId, Region,
+};
 
 use crate::space::{AddressSpace, BLOCK_BYTES};
 use crate::{Workload, WorkloadSpec};
@@ -46,7 +46,7 @@ struct BlockInfo {
 pub struct RefInterpreter {
     caches: Vec<Cache>,
     space: AddressSpace,
-    blocks: HashMap<u64, BlockInfo>,
+    blocks: FnvMap<u64, BlockInfo>,
     events: CoherenceEvents,
     counting: bool,
 }
@@ -80,7 +80,7 @@ impl RefInterpreter {
         Ok(Self {
             caches,
             space,
-            blocks: HashMap::new(),
+            blocks: FnvMap::default(),
             events: CoherenceEvents::default(),
             counting: true,
         })

@@ -154,6 +154,7 @@ impl AddressSpace {
     /// Home node of the page containing `addr`: the owning node for private
     /// pages, a pseudo-random node for shared pages.
     #[must_use]
+    #[inline]
     pub fn home_of(self, addr: Addr) -> NodeId {
         match self.region_of(addr) {
             Region::Private => NodeId::new(((addr.raw() >> PRIVATE_NODE_SHIFT) & 0xfff) as usize),
@@ -164,10 +165,12 @@ impl AddressSpace {
     /// Home node of the block `block` (block numbers are relative to
     /// [`BLOCK_BYTES`]).
     #[must_use]
+    #[inline]
     pub fn home_of_block(self, block: BlockAddr) -> NodeId {
         self.home_of(block.base_addr(BLOCK_BYTES))
     }
 
+    #[inline]
     fn home_of_page(self, page: PageAddr) -> NodeId {
         // SplitMix64-style hash of (page, seed): stable pseudo-random
         // placement, uniform across nodes.

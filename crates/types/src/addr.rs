@@ -41,6 +41,7 @@ impl Addr {
     ///
     /// Panics if `block_size` is not a power of two.
     #[must_use]
+    #[inline]
     pub fn block(self, block_size: u64) -> BlockAddr {
         assert!(block_size.is_power_of_two(), "block size must be a power of two");
         BlockAddr(self.0 >> block_size.trailing_zeros())
@@ -97,12 +98,14 @@ pub struct BlockAddr(u64);
 impl BlockAddr {
     /// Creates a block address from a raw block number.
     #[must_use]
+    #[inline]
     pub const fn new(raw: u64) -> Self {
         Self(raw)
     }
 
     /// Raw block number.
     #[must_use]
+    #[inline]
     pub const fn raw(self) -> u64 {
         self.0
     }
@@ -113,6 +116,7 @@ impl BlockAddr {
     /// odd probe slot, so that the dual snooping directory can be 2-way
     /// interleaved (paper §3.3).
     #[must_use]
+    #[inline]
     pub const fn is_even(self) -> bool {
         self.0.is_multiple_of(2)
     }
@@ -123,6 +127,7 @@ impl BlockAddr {
     ///
     /// Panics if `block_size` is not a power of two.
     #[must_use]
+    #[inline]
     pub fn base_addr(self, block_size: u64) -> Addr {
         assert!(block_size.is_power_of_two(), "block size must be a power of two");
         Addr(self.0 << block_size.trailing_zeros())
@@ -135,6 +140,7 @@ impl BlockAddr {
     /// Panics if `page_size` or `block_size` is not a power of two, or if the
     /// block is larger than the page.
     #[must_use]
+    #[inline]
     pub fn page(self, block_size: u64, page_size: u64) -> PageAddr {
         assert!(block_size <= page_size, "block larger than page");
         self.base_addr(block_size).page(page_size)

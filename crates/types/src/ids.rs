@@ -32,6 +32,7 @@ impl NodeId {
     /// Panics if `index` does not fit in `u16` (systems are at most a few
     /// hundred nodes).
     #[must_use]
+    #[inline]
     pub fn new(index: usize) -> Self {
         Self(u16::try_from(index).expect("node index exceeds u16"))
     }

@@ -57,6 +57,7 @@ impl Xoshiro256 {
     }
 
     /// Next raw 64-bit output.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -79,6 +80,7 @@ impl Xoshiro256 {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         // Lemire rejection sampling for an unbiased result.
@@ -103,6 +105,7 @@ impl Xoshiro256 {
     }
 
     /// Bernoulli draw: `true` with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
@@ -110,6 +113,7 @@ impl Xoshiro256 {
     /// Picks one index in `0..weights.len()` with probability proportional to
     /// its weight. Returns `None` when all weights are zero or the slice is
     /// empty.
+    #[inline]
     pub fn pick_weighted(&mut self, weights: &[f64]) -> Option<usize> {
         let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
         if total <= 0.0 {

@@ -83,6 +83,7 @@ impl Time {
 
     /// Saturating subtraction: returns `ZERO` instead of underflowing.
     #[must_use]
+    #[inline]
     pub fn saturating_sub(self, rhs: Time) -> Time {
         Time(self.0.saturating_sub(rhs.0))
     }
@@ -100,6 +101,7 @@ impl Time {
     ///
     /// Panics if `period` is zero.
     #[must_use]
+    #[inline]
     pub fn cycles(self, period: Time) -> u64 {
         assert!(!period.is_zero(), "period must be non-zero");
         self.0 / period.0
@@ -108,12 +110,14 @@ impl Time {
 
 impl Add for Time {
     type Output = Time;
+    #[inline]
     fn add(self, rhs: Time) -> Time {
         Time(self.0.checked_add(rhs.0).expect("simulated time overflow"))
     }
 }
 
 impl AddAssign for Time {
+    #[inline]
     fn add_assign(&mut self, rhs: Time) {
         *self = *self + rhs;
     }
@@ -121,12 +125,14 @@ impl AddAssign for Time {
 
 impl Sub for Time {
     type Output = Time;
+    #[inline]
     fn sub(self, rhs: Time) -> Time {
         Time(self.0.checked_sub(rhs.0).expect("simulated time underflow"))
     }
 }
 
 impl SubAssign for Time {
+    #[inline]
     fn sub_assign(&mut self, rhs: Time) {
         *self = *self - rhs;
     }
@@ -134,6 +140,7 @@ impl SubAssign for Time {
 
 impl Mul<u64> for Time {
     type Output = Time;
+    #[inline]
     fn mul(self, rhs: u64) -> Time {
         Time(self.0.checked_mul(rhs).expect("simulated time overflow"))
     }
@@ -142,6 +149,7 @@ impl Mul<u64> for Time {
 impl Div<Time> for Time {
     /// Integer division of durations: how many `rhs` fit in `self`.
     type Output = u64;
+    #[inline]
     fn div(self, rhs: Time) -> u64 {
         self.cycles(rhs)
     }
@@ -149,6 +157,7 @@ impl Div<Time> for Time {
 
 impl Div<u64> for Time {
     type Output = Time;
+    #[inline]
     fn div(self, rhs: u64) -> Time {
         Time(self.0 / rhs)
     }

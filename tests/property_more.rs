@@ -14,14 +14,19 @@ use ringsim::types::{AccessKind, BlockAddr, NodeId};
 
 proptest! {
     /// The direct-mapped cache agrees with a naive map-based model of
-    /// "which block owns each line".
+    /// "which block owns each line". About one block in five carries high
+    /// bits (`hi << 40`, a tag of 2^35 or more), so the cache switches to
+    /// 64-bit line words partway through most sequences.
     #[test]
-    fn cache_agrees_with_reference_map(ops in prop::collection::vec((0u64..1024, any::<bool>()), 1..500)) {
+    fn cache_agrees_with_reference_map(
+        ops in prop::collection::vec((0u64..1024, any::<bool>(), 0u64..16), 1..500)
+    ) {
         let cfg = CacheConfig { size_bytes: 512, block_bytes: 16 }; // 32 lines
         let lines = 32u64;
         let mut cache = Cache::new(cfg).unwrap();
         let mut model: HashMap<u64, (u64, bool)> = HashMap::new(); // line -> (block, dirty)
-        for (block, write) in ops {
+        for (block, write, hi) in ops {
+            let block = block | hi.saturating_sub(12) << 40;
             let b = BlockAddr::new(block);
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
             let line = block % lines;
@@ -35,8 +40,11 @@ proptest! {
             prop_assert_eq!(got, expected, "block {} write {}", block, write);
             match got {
                 AccessClass::Miss => {
-                    cache.fill(b, if write { LineState::We } else { LineState::Rs });
-                    model.insert(line, (block, write));
+                    let victim = cache.fill(b, if write { LineState::We } else { LineState::Rs });
+                    let expected = model.insert(line, (block, write)).map(|(owner, dirty)| {
+                        (BlockAddr::new(owner), if dirty { LineState::We } else { LineState::Rs })
+                    });
+                    prop_assert_eq!(victim, expected, "victim of block {}", block);
                 }
                 AccessClass::Upgrade => {
                     cache.promote(b);
