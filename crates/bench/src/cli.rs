@@ -209,7 +209,7 @@ pub fn run_single(name: &str) -> ExitCode {
         return ExitCode::FAILURE;
     };
     note_cache_implication(&opts);
-    run_one(exp, &opts);
+    run_one(exp, &sweep_config(&opts), &opts);
     if write_metrics(&opts) {
         ExitCode::SUCCESS
     } else {
@@ -217,8 +217,8 @@ pub fn run_single(name: &str) -> ExitCode {
     }
 }
 
-fn run_one(exp: &'static dyn Experiment, opts: &Options) {
-    let report = run_experiment(exp, &sweep_config(opts));
+fn run_one(exp: &'static dyn Experiment, cfg: &SweepConfig, opts: &Options) {
+    let report = run_experiment(exp, cfg);
     eprintln!(
         "{}: {} points in {:.0} ms on {} thread{} ({:.1} points/s), meta in {}/{}.meta.json",
         exp.name(),
@@ -289,11 +289,14 @@ pub fn run_with(args: &[String]) -> ExitCode {
         }
         sel
     };
+    // One config, so one memo: a workload characterised by one selected
+    // experiment is reused by the rest.
+    let cfg = sweep_config(&opts);
     for (i, exp) in selected.iter().enumerate() {
         if i > 0 {
             println!();
         }
-        run_one(*exp, &opts);
+        run_one(*exp, &cfg, &opts);
     }
     if write_metrics(&opts) {
         ExitCode::SUCCESS

@@ -45,8 +45,8 @@ impl Experiment for BlockSweep {
     fn run(&self, ctx: &SweepCtx) -> Vec<Artifact> {
         let procs = 16;
         // Shared characterisation: pure function of the spec, computed once.
-        let (_, input) =
-            benchmark_input(Benchmark::Mp3d, procs, ctx.refs_per_proc()).expect("paper config");
+        let (_, input) = benchmark_input(ctx.memo(), Benchmark::Mp3d, procs, ctx.refs_per_proc())
+            .expect("paper config");
         let t = Time::from_ns(5);
         let blocks = [16u64, 32, 64, 128];
         let rows = ctx.map(

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use ringsim_analytic::RingModel;
 use ringsim_proto::ProtocolKind;
 use ringsim_ring::RingConfig;
-use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
+use ringsim_sweep::{Artifact, Experiment, Memo, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 
 use crate::benchmark_input;
@@ -27,12 +27,13 @@ pub struct Curve {
 
 /// Sweeps one benchmark/size under both protocols.
 pub fn curves_for(
+    memo: &Memo,
     bench: Benchmark,
     procs: usize,
     ring: RingConfig,
     refs_per_proc: u64,
 ) -> Vec<Curve> {
-    let (_, input) = benchmark_input(bench, procs, refs_per_proc).expect("paper config");
+    let (_, input) = benchmark_input(memo, bench, procs, refs_per_proc).expect("paper config");
     [ProtocolKind::Snooping, ProtocolKind::Directory]
         .into_iter()
         .map(|protocol| {
@@ -103,7 +104,13 @@ pub fn sweep_configs(ctx: &SweepCtx, configs: &[(Benchmark, usize)]) -> Vec<Curv
         configs,
         |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs),
         |pctx, &(bench, procs)| {
-            curves_for(bench, procs, RingConfig::standard_500mhz(procs), pctx.refs_per_proc)
+            curves_for(
+                pctx.memo(),
+                bench,
+                procs,
+                RingConfig::standard_500mhz(procs),
+                pctx.refs_per_proc,
+            )
         },
     )
     .into_iter()

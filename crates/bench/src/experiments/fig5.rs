@@ -36,8 +36,8 @@ impl Experiment for Fig5 {
             &configs,
             |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs),
             |pctx, &(bench, procs)| {
-                let (ch, _) =
-                    benchmark_input(bench, procs, pctx.refs_per_proc).expect("paper config");
+                let (ch, _) = benchmark_input(pctx.memo(), bench, procs, pctx.refs_per_proc)
+                    .expect("paper config");
                 let e = ch.events;
                 let c1 = e.fig5_one_cycle_clean() as f64;
                 let d1 = e.fig5_one_cycle_dirty() as f64;

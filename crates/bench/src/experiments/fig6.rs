@@ -50,8 +50,8 @@ impl Experiment for Fig6 {
             &configs,
             |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs),
             |pctx, &(bench, procs)| {
-                let (_, input) =
-                    benchmark_input(bench, procs, pctx.refs_per_proc).expect("paper config");
+                let (_, input) = benchmark_input(pctx.memo(), bench, procs, pctx.refs_per_proc)
+                    .expect("paper config");
                 let mut curves: Vec<Curve> = Vec::new();
                 for (label, ring) in [
                     ("ring-500", RingConfig::standard_500mhz(procs)),

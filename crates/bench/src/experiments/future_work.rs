@@ -52,8 +52,8 @@ impl Experiment for FutureWork {
         // The characterisation is shared by all points; run it once on the
         // harness thread (it is a pure function of the spec, so this does
         // not affect determinism).
-        let (_, input) =
-            benchmark_input(Benchmark::Mp3d, procs, ctx.refs_per_proc()).expect("paper config");
+        let (_, input) = benchmark_input(ctx.memo(), Benchmark::Mp3d, procs, ctx.refs_per_proc())
+            .expect("paper config");
         let mut points = Vec::new();
         for mips in [100u64, 200, 400] {
             points.push(("ring-500", mips));

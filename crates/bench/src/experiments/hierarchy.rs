@@ -55,8 +55,8 @@ impl Experiment for Hierarchy {
 
     fn run(&self, ctx: &SweepCtx) -> Vec<Artifact> {
         // Shared characterisation: pure function of the spec, computed once.
-        let (_, input) =
-            benchmark_input(Benchmark::Weather, 64, ctx.refs_per_proc()).expect("paper config");
+        let (_, input) = benchmark_input(ctx.memo(), Benchmark::Weather, 64, ctx.refs_per_proc())
+            .expect("paper config");
         let t = Time::from_ns(5); // 200 MIPS
         let mut points = vec![Point::Flat];
         for (rings, per) in [(4usize, 16usize), (8, 8), (16, 4)] {

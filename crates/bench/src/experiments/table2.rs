@@ -42,8 +42,8 @@ impl Experiment for Table2 {
             &configs,
             |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs),
             |pctx, &(bench, procs)| {
-                let (ch, _) =
-                    benchmark_input(bench, procs, pctx.refs_per_proc).expect("paper config");
+                let (ch, _) = benchmark_input(pctx.memo(), bench, procs, pctx.refs_per_proc)
+                    .expect("paper config");
                 let e = ch.events;
                 let p = paper
                     .iter()

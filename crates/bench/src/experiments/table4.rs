@@ -65,8 +65,8 @@ impl Experiment for Table4 {
                     .into_iter()
                     .find(|b| b.name() == name)
                     .expect("benchmark exists");
-                let (_, input) =
-                    benchmark_input(bench, procs, pctx.refs_per_proc).expect("paper config");
+                let (_, input) = benchmark_input(pctx.memo(), bench, procs, pctx.refs_per_proc)
+                    .expect("paper config");
                 let mut rows = Vec::new();
                 for (mhz, papers) in [(250u64, paper250), (500u64, paper500)] {
                     let ring = if mhz == 250 {

@@ -50,8 +50,8 @@ impl Experiment for WideRing {
             &configs,
             |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs),
             |pctx, &(bench, procs)| {
-                let (_, input) =
-                    benchmark_input(bench, procs, pctx.refs_per_proc).expect("paper config");
+                let (_, input) = benchmark_input(pctx.memo(), bench, procs, pctx.refs_per_proc)
+                    .expect("paper config");
                 let ring = RingConfig::wide_64bit_500mhz(procs);
                 [2u64, 5, 10]
                     .into_iter()

@@ -23,6 +23,7 @@ use std::path::PathBuf;
 use serde::{Deserialize, Serialize};
 
 use ringsim_analytic::ModelInput;
+use ringsim_sweep::Memo;
 use ringsim_trace::{characterize, Benchmark, Characteristics};
 use ringsim_types::ConfigError;
 
@@ -115,16 +116,26 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
 /// experiment runs and returns the characteristics plus the derived model
 /// input.
 ///
+/// The characterisation is a pure function of `(bench, procs,
+/// refs_per_proc)` (it never reads a point seed), so it is computed once
+/// per run in `memo` under `characterize/{bench:?}/{procs}/{refs}` and every
+/// later point or experiment of the run that asks for the same workload
+/// reuses it. Pass [`SweepCtx::memo`](ringsim_sweep::SweepCtx::memo) or
+/// [`PointCtx::memo`](ringsim_sweep::PointCtx::memo).
+///
 /// # Errors
 ///
 /// Returns a [`ConfigError`] for invalid benchmark/size combinations.
 pub fn benchmark_input(
+    memo: &Memo,
     bench: Benchmark,
     procs: usize,
     refs_per_proc: u64,
 ) -> Result<(Characteristics, ModelInput), ConfigError> {
-    let spec = bench.spec(procs)?.with_refs(refs_per_proc);
-    let ch = characterize(&spec)?;
+    let ch = memo
+        .get_or_compute(&format!("characterize/{bench:?}/{procs}/{refs_per_proc}"), || {
+            characterize(&bench.spec(procs)?.with_refs(refs_per_proc))
+        })?;
     let input = ModelInput::from_characteristics(&ch);
     Ok((ch, input))
 }
@@ -184,9 +195,14 @@ mod tests {
 
     #[test]
     fn benchmark_input_works_on_small_budget() {
-        let (ch, input) = benchmark_input(Benchmark::Mp3d, 8, 3_000).unwrap();
+        let memo = Memo::default();
+        let (ch, input) = benchmark_input(&memo, Benchmark::Mp3d, 8, 3_000).unwrap();
         assert_eq!(ch.procs, 8);
         assert!(input.freqs.miss_total() > 0.0);
+        // A second call reuses the first; a bad size is memoized as its error.
+        assert_eq!(benchmark_input(&memo, Benchmark::Mp3d, 8, 3_000).unwrap().0, ch);
+        assert!(benchmark_input(&memo, Benchmark::Mp3d, 65, 3_000).is_err());
+        assert_eq!(memo.len(), 2);
     }
 
     #[test]

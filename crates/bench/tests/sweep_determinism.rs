@@ -1,7 +1,9 @@
 //! Locks the sweep engine's determinism contract: every artifact an
 //! experiment writes must be byte-identical no matter how many worker
-//! threads computed its points. Wall-time metrics are quarantined in the
-//! `<name>.meta.json` twins, which are the only files allowed to differ.
+//! threads computed its points, and no matter which experiments ran before
+//! it under the same config (and so filled its memo). Wall-time metrics are
+//! quarantined in the `<name>.meta.json` twins, which are the only files
+//! allowed to differ.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -56,5 +58,43 @@ fn artifacts_are_byte_identical_across_runs() {
     let second = run_into("ring_access", 4, &base.join("b"));
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(fs::read(a).unwrap(), fs::read(b).unwrap());
+    }
+}
+
+/// Experiments that share characterisations, run back to back through one
+/// config (one memo, filled by whichever point asks first) at 4 jobs, must
+/// write the same bytes as each run alone through a fresh config at 1 job.
+/// table2 and fig5 cover all twelve paper configurations between them;
+/// validate and hierarchy ask again for five of them, so a whole shared run
+/// characterises exactly twelve workloads.
+#[test]
+fn artifacts_do_not_depend_on_what_filled_the_memo() {
+    let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("det-memo");
+    let names = ["table2", "fig5", "validate", "hierarchy"];
+    let shared = SweepConfig::new(REFS).jobs(4).cache(false).out_dir(base.join("shared"));
+    let together: Vec<Vec<PathBuf>> = names
+        .iter()
+        .map(|name| {
+            let exp = experiments::find(name).expect("known experiment");
+            run_experiment(exp, &shared).artifacts.into_iter().map(|a| a.path).collect()
+        })
+        .collect();
+    assert_eq!(shared.memo().len(), 12, "one characterisation per distinct workload");
+    for (name, together) in names.iter().zip(&together) {
+        let exp = experiments::find(name).expect("known experiment");
+        let fresh = SweepConfig::new(REFS).jobs(1).cache(false).out_dir(base.join(name));
+        let alone: Vec<PathBuf> =
+            run_experiment(exp, &fresh).artifacts.into_iter().map(|a| a.path).collect();
+        assert!(!alone.is_empty(), "{name} wrote no artifacts");
+        assert_eq!(alone.len(), together.len(), "{name} artifact count differs");
+        for (a, b) in alone.iter().zip(together) {
+            assert_eq!(a.file_name(), b.file_name(), "{name} artifact order differs");
+            assert_eq!(
+                fs::read(a).unwrap(),
+                fs::read(b).unwrap(),
+                "{name} artifact {:?} differs between a fresh and a shared memo",
+                a.file_name()
+            );
+        }
     }
 }

@@ -9,10 +9,10 @@
 //! [`SweepPoint::seed`](crate::SweepPoint::seed)).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-use crate::{PointCtx, PointStat, SweepPoint};
+use crate::{Memo, PointCtx, PointStat, SweepPoint};
 
 /// Runs `work` over `points` on up to `jobs` threads, returning results in
 /// point order plus one [`PointStat`] per point (also in point order).
@@ -20,6 +20,7 @@ pub fn run_points<P, R>(
     experiment: &str,
     jobs: usize,
     refs_per_proc: u64,
+    memo: &Arc<Memo>,
     points: &[P],
     key: impl Fn(&P) -> SweepPoint + Sync,
     work: impl Fn(&PointCtx, &P) -> R + Sync,
@@ -38,6 +39,7 @@ where
             seed: point.seed(experiment),
             refs_per_proc,
             index: i,
+            memo: Arc::clone(memo),
         };
         let start = Instant::now();
         let result = work(&pctx, &points[i]);
@@ -102,6 +104,7 @@ mod tests {
             "square",
             jobs,
             0,
+            &Arc::default(),
             &points,
             |p| SweepPoint::new().detail(p.to_string()),
             |_ctx, p| p * p,
@@ -126,6 +129,7 @@ mod tests {
                 "seeds",
                 jobs,
                 0,
+                &Arc::default(),
                 &points,
                 |p| SweepPoint::new().detail(p.to_string()),
                 |ctx, _| ctx.seed,
@@ -137,8 +141,15 @@ mod tests {
 
     #[test]
     fn zero_points_is_fine() {
-        let (r, s) =
-            run_points("empty", 8, 0, &Vec::<u64>::new(), |_| SweepPoint::new(), |_, p| *p);
+        let (r, s) = run_points(
+            "empty",
+            8,
+            0,
+            &Arc::default(),
+            &Vec::<u64>::new(),
+            |_| SweepPoint::new(),
+            |_, p| *p,
+        );
         assert!(r.is_empty() && s.is_empty());
     }
 }

@@ -15,15 +15,22 @@
 //! * wall-clock measurements (which *are* schedule-dependent) are kept out
 //!   of the artifacts and written to a `results/<name>.meta.json` twin
 //!   instead.
+//!
+//! Points that need the same expensive input (a trace characterisation)
+//! share it through the run's [`Memo`], reached from [`SweepCtx::memo`] and
+//! [`PointCtx::memo`]: computed once per [`SweepConfig`], never written to
+//! disk, and a function of its key alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;
 mod engine;
+mod memo;
 mod point;
 mod shard;
 
+pub use memo::Memo;
 pub use point::SweepPoint;
 pub use shard::Shard;
 
@@ -86,6 +93,8 @@ pub struct SweepConfig {
     /// How long a shard worker polls the shared cache for a peer's point
     /// before computing it itself (liveness fallback; see [`Shard`]).
     pub shard_wait: Duration,
+    /// Values shared by the points of this run; clones share it.
+    memo: Arc<Memo>,
 }
 
 impl fmt::Debug for SweepConfig {
@@ -116,6 +125,7 @@ impl SweepConfig {
             cache_dir: None,
             shard: None,
             shard_wait: Duration::from_secs(600),
+            memo: Arc::default(),
         }
     }
 
@@ -176,6 +186,13 @@ impl SweepConfig {
     pub fn cache_root(&self) -> &Path {
         self.cache_dir.as_deref().unwrap_or(&self.out_dir)
     }
+
+    /// The run's memo: empty from [`new`](Self::new), shared by every
+    /// clone of this config and so by every experiment run under it.
+    #[must_use]
+    pub fn memo(&self) -> &Memo {
+        &self.memo
+    }
 }
 
 /// The default `--jobs` value: the machine's available parallelism.
@@ -197,6 +214,15 @@ pub struct PointCtx {
     pub refs_per_proc: u64,
     /// Index of this point in the submitted slice.
     pub index: usize,
+    memo: Arc<Memo>,
+}
+
+impl PointCtx {
+    /// The run's memo (see [`SweepCtx::memo`]).
+    #[must_use]
+    pub fn memo(&self) -> &Memo {
+        &self.memo
+    }
 }
 
 /// Wall-time record for one completed sweep point; lands in the meta twin,
@@ -304,6 +330,13 @@ impl SweepCtx {
         &self.cfg.out_dir
     }
 
+    /// The run's memo, shared with every other experiment run under the
+    /// same [`SweepConfig`] (see [`Memo`]).
+    #[must_use]
+    pub fn memo(&self) -> &Memo {
+        self.cfg.memo()
+    }
+
     /// Runs `work` over `points` on up to [`jobs`](Self::jobs) threads and
     /// returns the results **in submission order**.
     ///
@@ -369,6 +402,7 @@ impl SweepCtx {
             self.experiment,
             self.cfg.jobs,
             self.cfg.refs_per_proc,
+            &self.cfg.memo,
             points,
             key,
             wrapped,
@@ -437,6 +471,7 @@ impl SweepCtx {
                     seed,
                     refs_per_proc: self.cfg.refs_per_proc,
                     index: i,
+                    memo: Arc::clone(&self.cfg.memo),
                 };
                 (pctx, entry)
             })

@@ -111,7 +111,7 @@ impl RefInterpreter {
     pub fn process(&mut self, r: MemRef) {
         let node = r.node;
         let block = r.addr.block(BLOCK_BYTES);
-        let class = self.caches[node.index()].peek(block, r.kind);
+        let class = self.caches[node.index()].classify(block, r.kind);
 
         if self.counting {
             match (r.region, r.kind) {
@@ -123,17 +123,9 @@ impl RefInterpreter {
         }
 
         match class {
-            AccessClass::Hit => {
-                self.caches[node.index()].classify(block, r.kind);
-            }
-            AccessClass::Upgrade => {
-                self.caches[node.index()].classify(block, r.kind);
-                self.do_upgrade(node, block);
-            }
-            AccessClass::Miss => {
-                self.caches[node.index()].classify(block, r.kind);
-                self.do_miss(node, block, r.kind, r.region);
-            }
+            AccessClass::Hit => {}
+            AccessClass::Upgrade => self.do_upgrade(node, block),
+            AccessClass::Miss => self.do_miss(node, block, r.kind, r.region),
         }
     }
 
