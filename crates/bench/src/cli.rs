@@ -1,14 +1,13 @@
-//! Shared command-line driver for the experiment binaries.
-//!
-//! Every per-experiment binary and the `all` driver accept the same flags:
+//! Command-line driver behind `ringsim experiments`, which runs the whole
+//! experiment registry or a selection of it. Flags:
 //!
 //! ```text
 //! --jobs <n>      worker threads per experiment; 0 auto-detects the
 //!                 available cores (the default)
 //! --refs <n>      references per processor (default: 60000; bare number works too)
 //! --out <dir>     output directory (default: results/)
-//! --list          list experiments and exit            (all only)
-//! --only <a,b>    run a comma-separated subset         (all only)
+//! --list          list experiments and exit
+//! --only <a,b>    run a comma-separated subset
 //! --metrics <p>   fold every run's latency histograms and timelines into one JSON file
 //! --no-cache      recompute every point, ignoring cached results
 //! --cache-stats   print per-experiment cache hit/miss counts
@@ -30,15 +29,15 @@ use crate::EXPERIMENT_REFS;
 
 const HELP: &str = "\
 USAGE:
-  <experiment> [OPTIONS] [REFS]
+  ringsim experiments [OPTIONS] [REFS]
 
 OPTIONS:
   --jobs, -j N    worker threads per experiment; 0 auto-detects the
                   available cores (the default)
   --refs N        references per processor (a bare number works too)
   --out DIR       output directory (default: results/)
-  --list          list experiments and exit            (all only)
-  --only a,b      run a comma-separated subset         (all only)
+  --list          list experiments and exit
+  --only a,b      run a comma-separated subset
   --metrics PATH  fold every run's latency histograms and timelines
                   into one JSON file (disables the point cache)
   --sanitize      run the coherence sanitizer on every point
@@ -186,37 +185,6 @@ fn write_metrics(opts: &Options) -> bool {
     }
 }
 
-/// Entry point for a single-experiment binary: parses args, runs the named
-/// experiment, prints the throughput summary.
-#[must_use]
-pub fn run_single(name: &str) -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.sanitize {
-        ringsim_core::set_sanitize_mode(ringsim_core::SanitizeMode::On);
-    }
-    if opts.metrics.is_some() {
-        ringsim_obs::set_global_metrics(true);
-    }
-    let Some(exp) = experiments::find(name) else {
-        eprintln!("error: unknown experiment `{name}`");
-        return ExitCode::FAILURE;
-    };
-    note_cache_implication(&opts);
-    run_one(exp, &sweep_config(&opts), &opts);
-    if write_metrics(&opts) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn run_one(exp: &'static dyn Experiment, cfg: &SweepConfig, opts: &Options) {
     let report = run_experiment(exp, cfg);
     eprintln!(
@@ -240,17 +208,8 @@ fn run_one(exp: &'static dyn Experiment, cfg: &SweepConfig, opts: &Options) {
     }
 }
 
-/// Entry point for the `all` driver: `--list`, `--only`, and the shared
-/// flags.
-#[must_use]
-pub fn run_all() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    run_with(&args)
-}
-
-/// Driver body shared by the `all` binary and the `ringsim experiments`
-/// subcommand: parses `args` (already stripped of the program/subcommand
-/// name) and runs the selection.
+/// Body of the `ringsim experiments` subcommand: parses `args` (already
+/// stripped of the program and subcommand names) and runs the selection.
 #[must_use]
 pub fn run_with(args: &[String]) -> ExitCode {
     let opts = match parse(args) {

@@ -9,11 +9,9 @@ use ringsim_bus::BusConfig;
 use ringsim_core::{RunOptions, SimKind, SimSpec};
 use ringsim_proto::ProtocolKind;
 use ringsim_ring::RingConfig;
-use ringsim_sweep::{Artifact, Experiment, Memo, SweepCtx, SweepPoint};
+use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::{Benchmark, Workload};
 use ringsim_types::Time;
-
-use crate::benchmark_input;
 
 /// The timed simulations are the slowest part of the suite; cap their
 /// reference budget so validation stays tractable at the default budget.
@@ -59,10 +57,10 @@ impl Variant {
     }
 }
 
-fn run_point(memo: &Memo, bench: Benchmark, procs: usize, variant: Variant, refs: u64) -> Row {
-    let (_, input) = benchmark_input(memo, bench, procs, refs).expect("paper config");
+fn run_point(bench: Benchmark, procs: usize, variant: Variant, refs: u64) -> Row {
     let proc = Time::from_ns(20);
     let wl_spec = bench.spec(procs).expect("spec").with_refs(refs);
+    let instr_per_data = wl_spec.instr_per_data;
     let workload = Workload::new(wl_spec).expect("workload");
     let (kind, config) = match variant {
         Variant::Ring(p) => {
@@ -78,7 +76,7 @@ fn run_point(memo: &Memo, bench: Benchmark, procs: usize, variant: Variant, refs
     let sim = system.run(&RunOptions::default()).report;
     // Feed the *simulator's own* event mix to the model, mirroring the
     // paper's methodology (simulation-derived parameters).
-    let sim_input = ModelInput::from_report(&sim, input.instr_per_data);
+    let sim_input = ModelInput::from_report(&sim, instr_per_data);
     let model = match variant {
         Variant::Ring(protocol) => {
             RingModel::new(RingConfig::standard_500mhz(procs), protocol).evaluate(&sim_input, proc)
@@ -127,7 +125,7 @@ impl Experiment for Validate {
                 SweepPoint::new().bench(bench.name()).procs(procs).protocol(variant.label())
             },
             |pctx, &(bench, procs, variant)| {
-                run_point(pctx.memo(), bench, procs, variant, pctx.refs_per_proc.min(MAX_REFS))
+                run_point(bench, procs, variant, pctx.refs_per_proc.min(MAX_REFS))
             },
         );
         println!("Validation: timed simulation vs analytical model at 50 MIPS (20 ns processors)");

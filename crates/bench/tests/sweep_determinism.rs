@@ -64,8 +64,8 @@ fn artifacts_are_byte_identical_across_runs() {
 /// Experiments that share characterisations, run back to back through one
 /// config (one memo, filled by whichever point asks first) at 4 jobs, must
 /// write the same bytes as each run alone through a fresh config at 1 job.
-/// table2 and fig5 cover all twelve paper configurations between them;
-/// validate and hierarchy ask again for five of them, so a whole shared run
+/// table2 and fig5 cover all twelve paper configurations between them and
+/// hierarchy asks again for one of them, so a whole shared run
 /// characterises exactly twelve workloads.
 #[test]
 fn artifacts_do_not_depend_on_what_filled_the_memo() {
@@ -97,4 +97,15 @@ fn artifacts_do_not_depend_on_what_filled_the_memo() {
             );
         }
     }
+}
+
+/// validate feeds the model the timed simulator's own event mix and reads
+/// `instr_per_data` from the workload spec, so it characterises nothing.
+#[test]
+fn validate_characterises_no_workload() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("det-validate-memo");
+    let cfg = SweepConfig::new(500).jobs(2).cache(false).out_dir(dir);
+    let report = run_experiment(experiments::find("validate").expect("known experiment"), &cfg);
+    assert!(!report.artifacts.is_empty(), "validate wrote no artifacts");
+    assert!(cfg.memo().is_empty(), "validate filled {} memo entries", cfg.memo().len());
 }

@@ -492,12 +492,7 @@ impl BusSystem {
         self.blocks.entry(block.raw()).or_default().owner = Some(me);
         if self.procs.measuring(i) {
             let local = self.home_of(block) == me;
-            match (!others.is_empty(), local) {
-                (false, true) => self.procs.events.upgrade_nosharers_local += 1,
-                (false, false) => self.procs.events.upgrade_nosharers_remote += 1,
-                (true, true) => self.procs.events.upgrade_sharers_local += 1,
-                (true, false) => self.procs.events.upgrade_sharers_remote += 1,
-            }
+            self.procs.events.record_upgrade(!others.is_empty(), local);
         }
         self.schedule(self.now, Event::Complete { node: i });
     }
@@ -522,15 +517,10 @@ impl BusSystem {
             }
             if self.procs.measuring(i) && t.region == Region::Shared {
                 let local = self.home_of(block) == NodeId::new(i);
-                match (invalidated > 0, local) {
-                    (false, true) => self.procs.events.upgrade_nosharers_local += 1,
-                    (false, false) => self.procs.events.upgrade_nosharers_remote += 1,
-                    (true, true) => self.procs.events.upgrade_sharers_local += 1,
-                    (true, false) => self.procs.events.upgrade_sharers_remote += 1,
-                }
+                self.procs.events.record_upgrade(invalidated > 0, local);
                 self.procs.events.invalidated_copies += invalidated;
             } else if self.procs.measuring(i) && t.region == Region::Private {
-                self.procs.events.upgrade_nosharers_local += 1;
+                self.procs.events.record_upgrade(false, true);
             }
             self.schedule(self.now, Event::Complete { node: i });
         } else {
@@ -700,12 +690,7 @@ impl BusSystem {
             }
         }
         if measuring && is_write && owner.is_none() {
-            match (invalidated > 0 || updated_sharers, local) {
-                (false, true) => self.procs.events.write_nosharers_local += 1,
-                (false, false) => self.procs.events.write_nosharers_remote += 1,
-                (true, true) => self.procs.events.write_sharers_local += 1,
-                (true, false) => self.procs.events.write_sharers_remote += 1,
-            }
+            self.procs.events.record_write_miss(invalidated > 0 || updated_sharers, local);
         }
         if measuring && is_write {
             self.procs.events.invalidated_copies += invalidated;
@@ -905,13 +890,6 @@ mod tests {
         BusSystem::new(cfg, w).unwrap().run()
     }
 
-    fn upgrades(r: &SimReport) -> u64 {
-        r.events.upgrade_nosharers_local
-            + r.events.upgrade_nosharers_remote
-            + r.events.upgrade_sharers_local
-            + r.events.upgrade_sharers_remote
-    }
-
     #[test]
     fn mesi_silent_promotion_cuts_upgrade_transactions() {
         let msi = run_proto(BusProtocol::Msi, 4, 3_000, 100);
@@ -921,10 +899,10 @@ mod tests {
         // Read-then-write on a sole copy fills clean-exclusive and
         // promotes silently instead of paying an invalidation txn.
         assert!(
-            upgrades(&mesi) < upgrades(&msi),
+            mesi.events.upgrades() < msi.events.upgrades(),
             "mesi {} vs msi {}",
-            upgrades(&mesi),
-            upgrades(&msi)
+            mesi.events.upgrades(),
+            msi.events.upgrades()
         );
     }
 

@@ -45,7 +45,7 @@ mod simulator;
 
 pub use access_net::{AccessNetConfig, AccessNetReport, InsertionNetSim, SlottedNetSim};
 pub use bus_system::{BusProtocol, BusSystem, BusSystemConfig};
-pub use collections::{RingBuf, RingBufIter, Slab};
+pub use collections::{RingBuf, RingBufIter};
 pub use config::{SystemConfig, SystemConfigBuilder};
 pub use engine::EventQueue;
 pub use hier_net::{HierNetConfig, HierNetReport, HierNetSim};

@@ -1129,11 +1129,7 @@ impl RingSystem {
                     ev.private_misses += 1;
                 }
                 if t.kind == TxnKind::Upgrade && t.invalidated == 0 {
-                    if local {
-                        ev.upgrade_nosharers_local += 1;
-                    } else {
-                        ev.upgrade_nosharers_remote += 1;
-                    }
+                    ev.record_upgrade(false, local);
                 }
                 return;
             }
@@ -1166,22 +1162,12 @@ impl RingSystem {
                     }
                 }
                 None => {
-                    match (t.invalidated > 0, local) {
-                        (false, true) => ev.write_nosharers_local += 1,
-                        (false, false) => ev.write_nosharers_remote += 1,
-                        (true, true) => ev.write_sharers_local += 1,
-                        (true, false) => ev.write_sharers_remote += 1,
-                    }
+                    ev.record_write_miss(t.invalidated > 0, local);
                     ev.invalidated_copies += t.invalidated;
                 }
             },
             TxnKind::Upgrade => {
-                match (t.invalidated > 0, local) {
-                    (false, true) => ev.upgrade_nosharers_local += 1,
-                    (false, false) => ev.upgrade_nosharers_remote += 1,
-                    (true, true) => ev.upgrade_sharers_local += 1,
-                    (true, false) => ev.upgrade_sharers_remote += 1,
-                }
+                ev.record_upgrade(t.invalidated > 0, local);
                 ev.invalidated_copies += t.invalidated;
             }
         }
@@ -1402,12 +1388,7 @@ impl RingSystem {
                             self.procs.events.private_misses += 1;
                         }
                     } else {
-                        match (others != 0, local) {
-                            (false, true) => self.procs.events.write_nosharers_local += 1,
-                            (false, false) => self.procs.events.write_nosharers_remote += 1,
-                            (true, true) => self.procs.events.write_sharers_local += 1,
-                            (true, false) => self.procs.events.write_sharers_remote += 1,
-                        }
+                        self.procs.events.record_write_miss(others != 0, local);
                         self.procs.events.invalidated_copies += others.count_ones() as u64;
                     }
                 }
@@ -1453,19 +1434,10 @@ impl RingSystem {
         let region = self.requester_region(&req);
         let local = home == requester;
         if measuring && region == Region::Shared {
-            match (others != 0, local) {
-                (false, true) => self.procs.events.upgrade_nosharers_local += 1,
-                (false, false) => self.procs.events.upgrade_nosharers_remote += 1,
-                (true, true) => self.procs.events.upgrade_sharers_local += 1,
-                (true, false) => self.procs.events.upgrade_sharers_remote += 1,
-            }
+            self.procs.events.record_upgrade(others != 0, local);
             self.procs.events.invalidated_copies += others.count_ones() as u64;
         } else if measuring && region == Region::Private && others == 0 {
-            if local {
-                self.procs.events.upgrade_nosharers_local += 1;
-            } else {
-                self.procs.events.upgrade_nosharers_remote += 1;
-            }
+            self.procs.events.record_upgrade(false, local);
         }
         match transitions::dir_action(&entry, requester, DirRequest::Upgrade) {
             DirAction::InvalidateSharers => {

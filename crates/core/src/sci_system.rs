@@ -357,17 +357,12 @@ impl SciRingSystem {
         if measuring {
             if r.region == Region::Private {
                 if is_upgrade {
-                    self.procs.events.upgrade_nosharers_local += 1;
+                    self.procs.events.record_upgrade(false, true);
                 } else {
                     self.procs.events.private_misses += 1;
                 }
             } else if is_upgrade {
-                match (step.invalidated > 0, local) {
-                    (false, true) => self.procs.events.upgrade_nosharers_local += 1,
-                    (false, false) => self.procs.events.upgrade_nosharers_remote += 1,
-                    (true, true) => self.procs.events.upgrade_sharers_local += 1,
-                    (true, false) => self.procs.events.upgrade_sharers_remote += 1,
-                }
+                self.procs.events.record_upgrade(step.invalidated > 0, local);
                 self.procs.events.invalidated_copies += step.invalidated as u64;
             } else if r.kind == AccessKind::Read {
                 if step.dirty_supply {
@@ -389,12 +384,7 @@ impl SciRingSystem {
                         self.procs.events.write_dirty_1 += 1;
                     }
                 } else {
-                    match (step.invalidated > 0, local) {
-                        (false, true) => self.procs.events.write_nosharers_local += 1,
-                        (false, false) => self.procs.events.write_nosharers_remote += 1,
-                        (true, true) => self.procs.events.write_sharers_local += 1,
-                        (true, false) => self.procs.events.write_sharers_remote += 1,
-                    }
+                    self.procs.events.record_write_miss(step.invalidated > 0, local);
                 }
                 self.procs.events.invalidated_copies += step.invalidated as u64;
             }

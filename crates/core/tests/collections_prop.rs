@@ -1,10 +1,10 @@
-//! Differential property tests for the hot-path containers in
+//! Differential property tests for the hot-path container in
 //! `ringsim_core::collections`.
 //!
-//! [`RingBuf`] and [`Slab`] replace `VecDeque` and map-backed storage in
-//! the simulators' inner loops; the optimization is only sound if they are
-//! observationally identical to the structures they replaced. Each test
-//! drives the container and a `std` model through the same random
+//! [`RingBuf`] replaces `VecDeque` in the simulators' inner loops; the
+//! optimization is only sound if it is observationally identical to the
+//! structure it replaced. Each test drives the container and a `std`
+//! model through the same random
 //! operation sequence and compares every result and the full observable
 //! state after every step, so any divergence is caught at the first
 //! operation that introduces it.
@@ -14,10 +14,10 @@
 //! strategies but not `prop_oneof`, so the enum-shaped strategy is spelled
 //! as a decoder over a small integer domain instead.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use ringsim_core::{RingBuf, Slab};
+use ringsim_core::RingBuf;
 
 /// One operation against a FIFO queue. Payload-carrying variants store a
 /// raw value that is reduced modulo the live length at apply time, so
@@ -116,127 +116,4 @@ proptest! {
             assert_deque_state(&rb, &vd);
         }
     }
-}
-
-/// One operation against index-keyed storage. As with [`DequeOp`], raw
-/// payloads select among the currently live keys at apply time.
-#[derive(Debug, Clone)]
-enum SlabOp {
-    Insert(u32),
-    /// Remove the live key at position `raw % live.len()` (skipped while
-    /// empty — `Slab::remove` of a vacant slot is a documented panic, not
-    /// a recoverable result, so it has its own test below).
-    Remove(usize),
-    /// Overwrite through `get_mut` at a live key.
-    Mutate(usize, u32),
-}
-
-/// Decodes a raw `(kind, payload)` draw over the `0..6` kind domain:
-/// inserts 3/6, removes 2/6, mutations 1/6.
-fn decode_slab_op((kind, payload): (usize, u64)) -> SlabOp {
-    match kind {
-        0..=2 => SlabOp::Insert(payload as u32),
-        3..=4 => SlabOp::Remove(payload as usize),
-        _ => SlabOp::Mutate(payload as usize, (payload >> 32) as u32),
-    }
-}
-
-proptest! {
-    /// `Slab` against a `HashMap<key, value>` model plus a retired-key
-    /// list: every handed-out key resolves to exactly the value stored
-    /// under it, removal returns that value and retires the key, and no
-    /// retired or never-issued key ever resolves.
-    #[test]
-    fn slab_matches_map_model(
-        raw_ops in prop::collection::vec((0usize..6, any::<u64>()), 0..200),
-    ) {
-        let mut slab: Slab<u32> = Slab::new();
-        let mut model: HashMap<usize, u32> = HashMap::new();
-        // Insertion-ordered live keys, so `raw % len` picks deterministically.
-        let mut live: Vec<usize> = Vec::new();
-        let mut retired: Vec<usize> = Vec::new();
-
-        for raw in raw_ops {
-            match decode_slab_op(raw) {
-                SlabOp::Insert(v) => {
-                    let key = slab.insert(v);
-                    prop_assert!(
-                        model.insert(key, v).is_none(),
-                        "insert handed out live key {}",
-                        key
-                    );
-                    retired.retain(|&k| k != key);
-                    live.push(key);
-                }
-                SlabOp::Remove(raw_idx) => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let key = live.remove(raw_idx % live.len());
-                    let expected = model.remove(&key).expect("model tracks live keys");
-                    prop_assert_eq!(slab.remove(key), expected);
-                    retired.push(key);
-                }
-                SlabOp::Mutate(raw_idx, v) => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let key = live[raw_idx % live.len()];
-                    *slab.get_mut(key).expect("live key resolves mutably") = v;
-                    model.insert(key, v);
-                }
-            }
-            prop_assert_eq!(slab.len(), model.len());
-            prop_assert_eq!(slab.is_empty(), model.is_empty());
-            for (&key, &value) in &model {
-                prop_assert_eq!(slab.get(key), Some(&value));
-            }
-            for &key in &retired {
-                prop_assert_eq!(slab.get(key), None, "retired key {} resolves", key);
-            }
-            prop_assert_eq!(slab.get(usize::MAX - 1), None);
-        }
-    }
-
-    /// Slot keys stay dense: they never exceed the high-water mark of
-    /// simultaneously live entries, which is the property that lets the
-    /// event queue's arena stop growing at steady state.
-    #[test]
-    fn slab_keys_bounded_by_high_water_mark(
-        raw_ops in prop::collection::vec((0usize..6, any::<u64>()), 0..200),
-    ) {
-        let mut slab: Slab<u32> = Slab::new();
-        let mut live: Vec<usize> = Vec::new();
-        let mut high_water = 0usize;
-        for raw in raw_ops {
-            match decode_slab_op(raw) {
-                SlabOp::Insert(v) => {
-                    let key = slab.insert(v);
-                    live.push(key);
-                    high_water = high_water.max(live.len());
-                    prop_assert!(key < high_water, "key {} outside 0..{}", key, high_water);
-                }
-                SlabOp::Remove(raw_idx) if !live.is_empty() => {
-                    let key = live.remove(raw_idx % live.len());
-                    slab.remove(key);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-#[test]
-fn slab_remove_is_lifo_and_vacant_remove_panics() {
-    let mut slab: Slab<u32> = Slab::new();
-    let a = slab.insert(1);
-    let b = slab.insert(2);
-    slab.remove(a);
-    slab.remove(b);
-    // Most recently freed slot comes back first.
-    assert_eq!(slab.insert(3), b);
-    assert_eq!(slab.insert(4), a);
-    let freed = a;
-    slab.remove(freed);
-    assert!(std::panic::catch_unwind(move || slab.remove(freed)).is_err());
 }

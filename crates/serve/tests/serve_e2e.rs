@@ -2,11 +2,13 @@
 //! submit the same experiment, exactly one job runs, and every served
 //! artifact is byte-identical to a direct (serial) sweep-engine run.
 
+#[path = "support/client.rs"]
+mod client;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
+use client::{http, json, str_of, tmp, u64_of, wait_done};
 use ringsim_serve::{ServeConfig, Server};
 use ringsim_sweep::{run_experiment, SweepConfig};
 use serde::Value;
@@ -15,75 +17,10 @@ use serde::Value;
 /// sweep point (fig3 is analytic-model backed).
 const REFS: u64 = 2_000;
 
-fn tmp(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("ringsim-serve-e2e-{tag}-{}", std::process::id()))
-}
-
-/// Minimal raw-socket HTTP/1.1 client: one request, reads to EOF
-/// (the server always closes), returns `(status, body_bytes)`.
-fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let header_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response must have a header/body separator");
-    let head = std::str::from_utf8(&raw[..header_end]).expect("ASCII headers");
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line in {head:?}"));
-    (status, raw[header_end + 4..].to_vec())
-}
-
-fn json(body: &[u8]) -> Value {
-    serde_json::parse_value(std::str::from_utf8(body).expect("UTF-8 JSON body"))
-        .expect("valid JSON body")
-}
-
-fn str_of<'v>(v: &'v Value, key: &str) -> &'v str {
-    match v.get(key) {
-        Some(Value::Str(s)) => s,
-        other => panic!("expected string `{key}`, got {other:?}"),
-    }
-}
-
-fn u64_of(v: &Value, key: &str) -> u64 {
-    match v.get(key) {
-        Some(Value::UInt(n)) => *n,
-        Some(Value::Int(n)) if *n >= 0 => *n as u64,
-        other => panic!("expected integer `{key}`, got {other:?}"),
-    }
-}
-
 fn bool_of(v: &Value, key: &str) -> bool {
     match v.get(key) {
         Some(Value::Bool(b)) => *b,
         other => panic!("expected bool `{key}`, got {other:?}"),
-    }
-}
-
-/// Polls `GET /runs/:id` until the job is done (or failed/panicking).
-fn wait_done(addr: &str, id: &str) -> Value {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, body) = http(addr, "GET", &format!("/runs/{id}"), "");
-        assert_eq!(status, 200, "status poll failed: {}", String::from_utf8_lossy(&body));
-        let v = json(&body);
-        match str_of(&v, "state") {
-            "done" => return v,
-            "failed" => panic!("job failed: {v:?}"),
-            _ => assert!(Instant::now() < deadline, "job did not finish in time: {v:?}"),
-        }
-        std::thread::sleep(Duration::from_millis(50));
     }
 }
 

@@ -150,12 +150,7 @@ impl RefInterpreter {
         let others = info.sharers & !Self::bit(node);
         let local = home == node;
         if self.counting {
-            match (others != 0, local) {
-                (false, true) => self.events.upgrade_nosharers_local += 1,
-                (false, false) => self.events.upgrade_nosharers_remote += 1,
-                (true, true) => self.events.upgrade_sharers_local += 1,
-                (true, false) => self.events.upgrade_sharers_remote += 1,
-            }
+            self.events.record_upgrade(others != 0, local);
             self.events.invalidated_copies += others.count_ones() as u64;
         }
         info.sharers = Self::bit(node);
@@ -202,12 +197,7 @@ impl RefInterpreter {
                     }
                     (AccessKind::Write, None) => {
                         let others = info.sharers & !Self::bit(node);
-                        match (others != 0, local) {
-                            (false, true) => self.events.write_nosharers_local += 1,
-                            (false, false) => self.events.write_nosharers_remote += 1,
-                            (true, true) => self.events.write_sharers_local += 1,
-                            (true, false) => self.events.write_sharers_remote += 1,
-                        }
+                        self.events.record_write_miss(others != 0, local);
                     }
                 },
             }

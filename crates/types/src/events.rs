@@ -129,6 +129,30 @@ impl CoherenceEvents {
             + self.upgrade_sharers_remote
     }
 
+    /// Counts one shared write miss that no dirty copy supplied, in the
+    /// bucket for whether other caches held the block (`sharers`) and
+    /// whether its home is the requester's own node (`local`).
+    pub fn record_write_miss(&mut self, sharers: bool, local: bool) {
+        *match (sharers, local) {
+            (false, true) => &mut self.write_nosharers_local,
+            (false, false) => &mut self.write_nosharers_remote,
+            (true, true) => &mut self.write_sharers_local,
+            (true, false) => &mut self.write_sharers_remote,
+        } += 1;
+    }
+
+    /// Counts one upgrade in the bucket for whether other caches held the
+    /// block (`sharers`) and whether its home is the requester's own node
+    /// (`local`).
+    pub fn record_upgrade(&mut self, sharers: bool, local: bool) {
+        *match (sharers, local) {
+            (false, true) => &mut self.upgrade_nosharers_local,
+            (false, false) => &mut self.upgrade_nosharers_remote,
+            (true, true) => &mut self.upgrade_sharers_local,
+            (true, false) => &mut self.upgrade_sharers_remote,
+        } += 1;
+    }
+
     /// All write-backs.
     #[must_use]
     pub fn writebacks(&self) -> u64 {
@@ -319,6 +343,38 @@ mod tests {
         assert_eq!(sum.data_refs(), 2 * e.data_refs());
         assert_eq!(sum.misses(), 2 * e.misses());
         assert_eq!(sum.invalidated_copies, 22);
+    }
+
+    #[test]
+    fn write_miss_and_upgrade_buckets() {
+        let mut e = CoherenceEvents::default();
+        for (n, (sharers, local)) in
+            [(false, true), (false, false), (true, true), (true, false)].into_iter().enumerate()
+        {
+            for _ in 0..=n {
+                e.record_write_miss(sharers, local);
+                e.record_upgrade(sharers, local);
+            }
+        }
+        assert_eq!(
+            (
+                e.write_nosharers_local,
+                e.write_nosharers_remote,
+                e.write_sharers_local,
+                e.write_sharers_remote
+            ),
+            (1, 2, 3, 4)
+        );
+        assert_eq!(
+            (
+                e.upgrade_nosharers_local,
+                e.upgrade_nosharers_remote,
+                e.upgrade_sharers_local,
+                e.upgrade_sharers_remote
+            ),
+            (1, 2, 3, 4)
+        );
+        assert_eq!((e.shared_write_misses(), e.upgrades(), e.invalidated_copies), (10, 10, 0));
     }
 
     #[test]
